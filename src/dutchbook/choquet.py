@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 from .errors import SureLossError
-from .model import Gamble, Outcome, OutcomeSpace, Rational, as_rational, negate
+from .model import Gamble, Outcome, OutcomeSpace, Rational, as_rational
 
 EventLike = Iterable[Union[Outcome, int]]
 
@@ -180,4 +180,4 @@ def upper_natural_extension(pmf: UpperPMF, gamble: Gamble) -> Rational:
 
 def lower_natural_extension(pmf: UpperPMF, gamble: Gamble) -> Rational:
     """Greatest buying price for ``gamble``: the conjugate of the upper price."""
-    return -upper_natural_extension(pmf, negate(gamble))
+    return -upper_natural_extension(pmf, -gamble)

@@ -89,12 +89,13 @@ def _load_market(value: str) -> Market:
 
 
 def _verdict_fields(verdict: ASLVerdict) -> dict:
+    margin = over_round(verdict.table)
     fields = {
         "avoids_sure_loss": verdict.avoids,
         "total": _rat(verdict.total),
         "total_decimal": _dec(verdict.total),
-        "over_round": _rat(over_round(verdict.table)),
-        "over_round_decimal": _dec(over_round(verdict.table)),
+        "over_round": _rat(margin),
+        "over_round_decimal": _dec(margin),
     }
     if verdict.witness is None:
         fields["witness"] = None

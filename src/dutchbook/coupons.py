@@ -21,7 +21,6 @@ from .model import (
     Outcome,
     Rational,
     as_rational,
-    gamble_from_odds,
     scale_odds,
 )
 from .sureloss import check_asl_single, upper_pmf_from_odds
@@ -104,12 +103,13 @@ def first_free_gamble(
         )
     scale = stake / coupon_odds.denominator
     scaled = scale_odds(coupon_odds, scale)
-    base = gamble_from_odds(first_odds, first, table.space)
-    # coupon leg: bookmaker pays the scaled winnings if the coupon outcome
-    # comes up, nothing otherwise (the stake was free)
-    leg = [Rational(0)] * len(table.space)
-    leg[coupon.index] = -scaled.numerator
-    combined = base + Gamble(table.space, tuple(leg))
+    # the first bet keeps the stake b_i except on its own outcome; the
+    # coupon bet risks no customer money, so on the coupon outcome the
+    # bookmaker keeps b_i less the scaled winnings
+    payoffs = [stake] * len(table.space)
+    payoffs[first.index] = -first_odds.numerator
+    payoffs[coupon.index] = stake - scaled.numerator
+    combined = Gamble(table.space, tuple(payoffs))
     return FirstFreeGamble(first, coupon, combined, scale)
 
 

@@ -55,13 +55,9 @@ class CouponRuleError(DutchbookError, ValueError):
 class StakeSystemError(DutchbookError, RuntimeError):
     """The complementary-slackness stake system produced no verified stakes.
 
-    Carries ``index`` (position in the dual ordering, 0-based) of the
-    offending stake when one is identifiable, else None.
+    A dual built by ``construct_dual`` from the same table's caps for
+    the same gamble always yields stakes; this error signals a mismatch.
     """
-
-    def __init__(self, message: str, index: int | None = None):
-        self.index = index
-        super().__init__(message)
 
 
 class CertificateError(DutchbookError, RuntimeError):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 from importlib import resources
+from io import StringIO
 from pathlib import Path
 
 from .errors import DataError
@@ -108,15 +109,21 @@ def _odds_cell(odds: FractionalOdds) -> str:
 
 
 def market_to_csv(market: Market) -> str:
-    """Serialize a market to canonical long-format CSV."""
-    lines = [",".join(LONG_HEADER)]
+    """Serialize a market to canonical long-format CSV.
+
+    Fields are quoted only where CSV needs it, and on rows whose outcome
+    label starts with ``#``, which would otherwise read back as comments.
+    """
+    out = StringIO()
+    plain = csv.writer(out, lineterminator="\n")
+    quoted = csv.writer(out, lineterminator="\n", quoting=csv.QUOTE_ALL)
+    plain.writerow(LONG_HEADER)
     for outcome in market.space:
+        writer = quoted if outcome.label.startswith("#") else plain
         for table in market.tables:
-            lines.append(
-                f"{outcome.label},{table.bookmaker},"
-                f"{_odds_cell(table.odds_for(outcome))}"
-            )
-    return "\n".join(lines) + "\n"
+            cell = _odds_cell(table.odds_for(outcome))
+            writer.writerow((outcome.label, table.bookmaker, cell))
+    return out.getvalue()
 
 
 def parse_wide_market_csv(text: str) -> Market:

@@ -9,6 +9,7 @@ customer's payoff is the pointwise negation.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Union
 
@@ -162,9 +163,12 @@ class FractionalOdds:
         """The quoted price a/b as a single number (used to compare offers)."""
         return self.numerator / self.denominator
 
-    @property
+    @cached_property
     def upper_mass(self) -> Rational:
-        """b/(a+b): the largest outcome probability consistent with the offer."""
+        """b/(a+b): the largest outcome probability consistent with the offer.
+
+        Computed once per quote: every verdict, price and stake reads it.
+        """
         return self.denominator / (self.numerator + self.denominator)
 
     def __str__(self) -> str:
@@ -262,11 +266,6 @@ def scale_odds(odds: FractionalOdds, factor: RationalLike) -> FractionalOdds:
     if q <= 0:
         raise ValueError(f"scale factor must be > 0, got {q}")
     return FractionalOdds(q * odds.numerator, q * odds.denominator)
-
-
-def negate(gamble: Gamble) -> Gamble:
-    """Pointwise negation: the counterparty's payoff."""
-    return -gamble
 
 
 @dataclass(frozen=True)

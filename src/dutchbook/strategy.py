@@ -3,8 +3,9 @@
 Pricing a gamble against upper probability caps is a linear program; its
 dual optimum is found greedily by pushing mass onto the highest payoffs
 first, capped per outcome.  Complementary slackness then pins down which
-stake variables can be non-zero, leaving a small square linear system
-solved exactly over rationals.  Every returned strategy carries both
+stake variables can be non-zero and which payoff rows are tight; since
+every odds gamble is a constant plus one spike, the stakes follow in
+closed form, in exact rationals.  Every returned strategy carries both
 sides of the duality, so optimality is checkable without trusting any
 solver: a feasible distribution and a feasible stake vector with equal
 objectives certify each other.
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from itertools import combinations
 
 from .choquet import UpperPMF
 from .coupons import (
@@ -31,8 +31,6 @@ from .errors import (
 )
 from .model import Gamble, OddsTable, Outcome, Rational
 from .sureloss import check_asl_single, upper_pmf_from_odds
-
-ENUMERATION_LIMIT = 10  # exhaustive stake search is exponential beyond this
 
 
 @dataclass(frozen=True)
@@ -121,81 +119,73 @@ def construct_dual(pmf: UpperPMF, gamble: Gamble) -> DualSolution:
     return DualSolution(pmf, ordering, tuple(p), k, k_prime)
 
 
-def _solve_square_system(
-    rows: list[list[Fraction]], rhs: list[Fraction]
-) -> list[Fraction] | None:
-    """Gaussian elimination over rationals; free variables pinned to 0.
-
-    Returns None when the system is inconsistent.
-    """
-    n = len(rows)
-    m = len(rows[0]) if rows else 0
-    a = [list(row) + [b] for row, b in zip(rows, rhs)]
-    pivot_cols: list[int] = []
-    r = 0
-    for c in range(m):
-        pivot = next((i for i in range(r, n) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = a[r][c]
-        a[r] = [v / inv for v in a[r]]
-        for i in range(n):
-            if i != r and a[i][c] != 0:
-                factor = a[i][c]
-                a[i] = [v - factor * w for v, w in zip(a[i], a[r])]
-        pivot_cols.append(c)
-        r += 1
-        if r == n:
-            break
-    for i in range(r, n):
-        if a[i][m] != 0:
-            return None
-    solution = [Fraction(0)] * m
-    for row_i, c in enumerate(pivot_cols):
-        solution[c] = a[row_i][m]
-    return solution
-
-
 def solve_stakes(
     table: OddsTable, gamble: Gamble, dual: DualSolution
 ) -> StrategyReport:
     """Derive the stake vector from the dual by complementary slackness.
 
-    Stakes for ordered positions beyond ``k_prime`` are zero; the rest
-    solve the square system making the bookmaker's combined payoff equal
-    to the optimal value at each of the first ``k_prime`` ordered
-    outcomes.  The solution is accepted only if it is non-negative and
-    the combined payoff tops out at exactly the optimal value; otherwise
-    :class:`~dutchbook.errors.StakeSystemError` is raised and the caller
-    may fall back to exhaustive enumeration.
+    Each odds gamble is ``b_i·1 − (a_i+b_i)·e_i``, a constant plus one
+    spike, so with stakes ``s`` the bookmaker's combined payoff at
+    outcome ``w`` is ``f(w) + B − s_w·(a_w+b_w)`` with ``B = Σ s_i·b_i``.
+    Let S be the first ``k_prime`` ordered outcomes, ``c_w = α − f(w)``,
+    ``m_w = b_w/(a_w+b_w)`` (the cap) and ``M_S = Σ_S m_w``.  Stakes
+    vanish outside S and every row in S is tight, which reads
+    ``s_w·(a_w+b_w) = B − c_w``; weighting by ``m_w`` and summing gives
+    ``B·(M_S − 1) = Σ_S m_w·c_w``.  When ``M_S = 1`` that equation is
+    consistent only if ``Σ_S m_w·c_w = 0``, and ``B`` is then taken as
+    ``c_w`` of the last outcome in S, whose stake becomes zero.
+
+    Why this gives optimal stakes.  The greedy dual is optimal for the
+    pricing LP, so some optimal stake vector ``s*`` exists, and it
+    satisfies complementary slackness with that dual: its support lies
+    in S (a stake can be positive only where the dual mass sits at its
+    cap) and rows 1..k are tight (the dual mass there is positive).
+
+    * S holds whole caps of total at most 1, so ``M_S ≤ 1``.  If
+      ``M_S < 1`` the S-system has exactly one solution (its matrix is
+      diagonal plus rank one, with determinant a non-zero multiple of
+      ``1 − M_S``), and ``s*`` is it.
+    * If ``M_S = 1`` then ``k = k_prime``, and since ``c`` never falls
+      along the ordering the stakes are non-negative and feasible exactly for
+      ``B`` in ``[c_last, min_{w∉S} c_w]``.  That interval holds the
+      ``B`` of ``s*``, so it is not empty, and its left end, where the
+      last stake in S is zero, is feasible.
+
+    The result is still checked: every stake must be non-negative and
+    the combined payoff must top out at exactly ``α``; otherwise, as for
+    a dual built for another gamble,
+    :class:`~dutchbook.errors.StakeSystemError` is raised.
     """
     space = table.space
+    odds = table.odds
     alpha = dual.expectation(gamble)
-    kp = dual.k_prime
-    ordered = dual.ordering
-    gambles = table.gambles()
-    rows = [
-        [gambles[ordered[i]].payoffs[ordered[j]] for i in range(kp)]
-        for j in range(kp)
-    ]
-    rhs = [alpha - gamble.payoffs[ordered[j]] for j in range(kp)]
-    solution = _solve_square_system(rows, rhs)
-    if solution is None:
+    support = dual.ordering[: dual.k_prime]
+    slack = [alpha - gamble.payoffs[w] for w in support]
+    spread = [odds[w].numerator + odds[w].denominator for w in support]
+    caps = [odds[w].upper_mass for w in support]
+    weighted = sum((m * c for m, c in zip(caps, slack)), Fraction(0))
+    excess = sum(caps, Fraction(0)) - 1
+    if excess:  # bank is the B above
+        bank = weighted / excess
+    elif weighted:
         raise StakeSystemError(
             "complementary-slackness system is inconsistent with the dual"
         )
+    else:
+        bank = slack[-1]
     stakes = [Fraction(0)] * len(space)
-    for i in range(kp):
-        stakes[ordered[i]] = solution[i]
-    for i, value in enumerate(solution):
-        if value < 0:
+    for position, (w, c, d) in enumerate(zip(support, slack, spread), start=1):
+        stakes[w] = (bank - c) / d
+        if stakes[w] < 0:
             raise StakeSystemError(
-                f"stake for ordered position {i + 1} "
-                f"({space[ordered[i]].label}) is negative: {value}",
-                index=i,
+                f"stake for ordered position {position} "
+                f"({space[w].label}) is negative: {stakes[w]}"
             )
-    combined = _combined_payoffs(gamble, gambles, stakes)
+    kept = sum((s * o.denominator for s, o in zip(stakes, odds)), Fraction(0))
+    combined = [
+        f + kept - s * (o.numerator + o.denominator)
+        for f, s, o in zip(gamble.payoffs, stakes, odds)
+    ]
     if max(combined) != alpha:
         raise StakeSystemError(
             "stake solution does not attain the optimal value at its maximum"
@@ -217,53 +207,6 @@ def _combined_payoffs(
                 value += stakes[i] * gambles[i].payoffs[w]
         out.append(value)
     return out
-
-
-def _stakes_by_enumeration(
-    table: OddsTable, gamble: Gamble, alpha: Fraction
-) -> tuple[Fraction, ...] | None:
-    """Exhaustive vertex search for non-negative stakes at the pinned optimum.
-
-    Feasible stakes satisfy, per outcome w: sum_i stake_i * g_i(w) <=
-    alpha - gamble(w).  The feasible region is a pointed polyhedron, so
-    if it is non-empty some vertex (n tight constraints out of the n
-    payoff rows plus n sign constraints) is feasible.  Any feasible point
-    is optimal because alpha is already the certified optimal value.
-    """
-    space = table.space
-    n = len(space)
-    if n > ENUMERATION_LIMIT:
-        raise StakeSystemError(
-            f"exhaustive stake enumeration limited to {ENUMERATION_LIMIT} outcomes"
-        )
-    gambles = table.gambles()
-    g_rows = [[gambles[i].payoffs[w] for i in range(n)] for w in range(n)]
-    c = [alpha - gamble.payoffs[w] for w in range(n)]
-    # constraint t < n: payoff row t tight; t >= n: stake t-n pinned to 0
-    for tight in combinations(range(2 * n), n):
-        rows = []
-        rhs = []
-        for t in tight:
-            if t < n:
-                rows.append(g_rows[t])
-                rhs.append(c[t])
-            else:
-                rows.append(
-                    [Fraction(1 if i == t - n else 0) for i in range(n)]
-                )
-                rhs.append(Fraction(0))
-        solution = _solve_square_system(rows, rhs)
-        if solution is None:
-            continue
-        if any(v < 0 for v in solution):
-            continue
-        if all(
-            sum((g_rows[w][i] * solution[i] for i in range(n)), Fraction(0))
-            <= c[w]
-            for w in range(n)
-        ):
-            return tuple(solution)
-    return None
 
 
 def certificate_failures(
@@ -328,25 +271,19 @@ def verify_certificate(
 def strategy_for_coupon(
     table: OddsTable, ffg: FirstFreeGamble
 ) -> StrategyReport:
-    """Certified optimal strategy for one specific coupon position."""
+    """Certified optimal strategy for one specific coupon position.
+
+    With a sure gain (``alpha < 0``), an outcome beyond ``k_prime`` other
+    than the first-bet and coupon ones would pay the bookmaker
+    ``b_first + B > 0 > alpha`` (``B`` as in :func:`solve_stakes`), so
+    ``k_prime >= n - 2``.
+    """
     verdict = check_asl_single(table)
     if not verdict.avoids:
         raise BaseOddsSureLossError(verdict.total)
     pmf = upper_pmf_from_odds(table)
     dual = construct_dual(pmf, ffg.gamble)
-    if dual.expectation(ffg.gamble) < 0:
-        # a sure gain forces bets on every outcome outside the coupon pair,
-        # so at most those two can end up stakeless
-        assert dual.k_prime >= len(table.space) - 2
-    try:
-        report = solve_stakes(table, ffg.gamble, dual)
-    except StakeSystemError:
-        alpha = dual.expectation(ffg.gamble)
-        stakes = _stakes_by_enumeration(table, ffg.gamble, alpha)
-        if stakes is None:
-            raise
-        gain = -alpha if alpha < 0 else Fraction(0)
-        report = StrategyReport(None, None, alpha, stakes, gain, dual)
+    report = solve_stakes(table, ffg.gamble, dual)
     report = replace(
         report,
         first_outcome=ffg.first_outcome,

@@ -1,10 +1,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dutchbook import (
     DataError,
     FractionalOdds,
+    Market,
+    OddsTable,
+    OutcomeSpace,
     load_fixture_market,
     load_market,
     market_to_csv,
@@ -76,7 +81,51 @@ class TestParseMarketCSV:
             parse_market_csv(text)
 
 
+# Labels the parser can hand back: stripped, non-empty, and free of the
+# characters str.splitlines breaks lines at.
+LINE_BREAKS = "\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+labels = st.one_of(
+    st.text(alphabet=' ,"#ab', min_size=1, max_size=6),
+    st.text(
+        st.characters(
+            blacklist_categories=("Cs",), blacklist_characters=LINE_BREAKS
+        ),
+        min_size=1,
+        max_size=8,
+    ),
+).map(str.strip).filter(bool)
+
+
+@st.composite
+def csv_markets(draw):
+    outcomes = draw(st.lists(labels, min_size=1, max_size=4, unique=True))
+    bookmakers = draw(st.lists(labels, min_size=1, max_size=3, unique=True))
+    space = OutcomeSpace.from_labels(outcomes)
+    tables = tuple(
+        OddsTable(
+            bookmaker,
+            space,
+            tuple(
+                FractionalOdds(draw(st.integers(0, 40)), draw(st.integers(1, 9)))
+                for _ in space
+            ),
+        )
+        for bookmaker in bookmakers
+    )
+    return Market(space, tables)
+
+
 class TestRoundTrip:
+    @given(market=csv_markets())
+    def test_any_parsable_market_round_trips(self, market):
+        assert parse_market_csv(market_to_csv(market)) == market
+
+    def test_label_with_comma_round_trips(self):
+        text = 'outcome,bookmaker,odds\n"Korea, Rep",Bet1,3\nJapan,Bet1,1/2\n'
+        market = parse_market_csv(text)
+        assert market_to_csv(market) == text
+        assert parse_market_csv(market_to_csv(market)) == market
+
     @pytest.mark.parametrize(
         "name", ["three_bookmakers.csv", "euro2016.csv"]
     )

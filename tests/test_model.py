@@ -13,7 +13,6 @@ from dutchbook import (
     format_decimal,
     format_rational,
     gamble_from_odds,
-    negate,
     scale_odds,
 )
 
@@ -153,10 +152,10 @@ class TestScaleOdds:
 class TestGamble:
     def test_negate(self):
         space = OutcomeSpace.from_labels(["W", "D", "L"])
-        assert negate(Gamble(space, (5, -13, 5))).payoffs == (-5, 13, -5)
+        assert (-Gamble(space, (5, -13, 5))).payoffs == (-5, 13, -5)
         zero = Gamble.constant(space, 0)
-        assert negate(zero) == zero
-        assert negate(Gamble(space, (-3, -4, 1))).payoffs == (3, 4, -1)
+        assert -zero == zero
+        assert (-Gamble(space, (-3, -4, 1))).payoffs == (3, 4, -1)
 
     def test_length_must_match_space(self):
         space = OutcomeSpace.from_labels(["W", "L"])

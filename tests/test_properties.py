@@ -34,7 +34,7 @@ from dutchbook import (
     upper_pmf_from_odds,
     verify_certificate,
 )
-from oracles import pmf_exists_for, upper_extension_vertices
+from oracles import pmf_exists_for, solve_exact, upper_extension_vertices
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 nonneg_rationals = st.fractions(min_value=0, max_value=10, max_denominator=12)
@@ -90,6 +90,27 @@ def solvent_tables(draw, min_size=2, max_size=5):
     table = draw(odds_tables(min_size, max_size))
     assume(check_asl_single(table).avoids)
     return table
+
+
+@st.composite
+def stake_systems(draw, max_size=6):
+    """A solvent book and a gamble on it; about half the time the caps of
+    the gamble's leading outcomes sum to exactly 1, which makes the
+    complementary-slackness system singular."""
+    gamble = draw(gambles(2, max_size))
+    n = len(gamble.space)
+    if draw(st.booleans()):
+        lead = order_outcomes(gamble)[: draw(st.integers(1, n))]
+        weights = [draw(st.integers(1, 6)) for _ in lead]
+        caps = [draw(st.fractions(0, 1, max_denominator=9)) for _ in range(n)]
+        for w, weight in zip(lead, weights):
+            caps[w] = Fraction(weight, sum(weights))
+        assume(all(m > 0 for m in caps))
+        odds = tuple(FractionalOdds(1 / m - 1, 1) for m in caps)
+        table = OddsTable("Book", gamble.space, odds)
+    else:
+        table = draw(solvent_tables(n, n))
+    return table, gamble
 
 
 @st.composite
@@ -335,17 +356,27 @@ class TestStrategyProperties:
         table = OddsTable("Synth", pmf.space, odds)
         assert upper_pmf_from_odds(table).masses == pmf.masses
         dual = construct_dual(pmf, gamble)
-        try:
-            report = solve_stakes(table, gamble, dual)
-        except Exception:
-            from dutchbook.strategy import _stakes_by_enumeration
-
-            alpha = dual.expectation(gamble)
-            stakes = _stakes_by_enumeration(table, gamble, alpha)
-            assert stakes is not None
-            from dutchbook import StrategyReport
-
-            report = StrategyReport(
-                None, None, alpha, stakes, max(Fraction(0), -alpha), dual
-            )
+        report = solve_stakes(table, gamble, dual)
         assert verify_certificate(table, gamble, report)
+
+    @settings(max_examples=150)
+    @given(system=stake_systems())
+    def test_stakes_match_exact_elimination_of_the_slackness_system(
+        self, system
+    ):
+        table, gamble = system
+        pmf = upper_pmf_from_odds(table)
+        dual = construct_dual(pmf, gamble)
+        report = solve_stakes(table, gamble, dual)
+        assert verify_certificate(table, gamble, report)
+        support = dual.ordering[: dual.k_prime]
+        outside = set(range(len(table.space))) - set(support)
+        assert all(report.stakes[w] == 0 for w in outside)
+        if sum(pmf.masses[w] for w in support) == 1:
+            # singular: the free last stake in S is pinned to zero
+            assert report.stakes[support[-1]] == 0
+            return
+        gambles_ = table.gambles()
+        rows = [[gambles_[i].payoffs[w] for i in support] for w in support]
+        rhs = [report.alpha - gamble.payoffs[w] for w in support]
+        assert solve_exact(rows, rhs) == [report.stakes[i] for i in support]

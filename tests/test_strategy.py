@@ -21,7 +21,6 @@ from dutchbook import (
     upper_pmf_from_odds,
     verify_certificate,
 )
-from dutchbook.strategy import _stakes_by_enumeration
 
 WDL = OutcomeSpace.from_labels(["W", "D", "L"])
 G_DL = Gamble(WDL, (5, -13, -11))
@@ -152,25 +151,6 @@ class TestSolveStakes:
         dual = construct_dual(pmf, other)
         with pytest.raises(StakeSystemError):
             solve_stakes(forest, G_DL, dual)
-
-
-class TestStakesByEnumeration:
-    def test_finds_feasible_stakes_at_pinned_optimum(self, forest):
-        stakes = _stakes_by_enumeration(forest, G_DL, Fraction(-47, 21))
-        assert stakes is not None
-        assert all(s >= 0 for s in stakes)
-        combined = combined_payoffs(forest, G_DL, list(stakes))
-        assert max(combined) == Fraction(-47, 21)
-        # this instance has a unique optimum, so both routes agree
-        assert stakes == (Fraction(18, 7), 0, Fraction(2, 21))
-
-    def test_large_spaces_refused(self, bet2):
-        space = bet2.space
-        ffg = first_free_gamble(
-            bet2, space.outcome("France"), space.outcome("Spain")
-        )
-        with pytest.raises(StakeSystemError):
-            _stakes_by_enumeration(bet2, ffg.gamble, Fraction(-1))
 
 
 class TestVerifyCertificate:
