@@ -28,18 +28,13 @@ from .sureloss import check_asl_single, upper_pmf_from_odds
 
 @dataclass(frozen=True)
 class CouponRules:
-    """Promotion terms.  Only the standard scheme is supported:
-
-    - the coupon value equals the first stake (optionally capped),
-    - first bet with this bookmaker only,
-    - spent with the same bookmaker,
-    - spent on a single outcome different from the first bet.
+    """Promotion terms.  Only the standard scheme is modelled: the coupon
+    value equals the first stake (optionally capped), it is earned by the
+    first bet with this bookmaker only, and it is spent with the same
+    bookmaker on a single outcome different from the first bet.
     """
 
     max_coupon_value: Rational | None = None
-    first_bet_only: bool = True
-    single_outcome_spend: bool = True
-    same_bookmaker: bool = True
 
     def __post_init__(self):
         if self.max_coupon_value is not None:
@@ -47,13 +42,6 @@ class CouponRules:
             object.__setattr__(self, "max_coupon_value", cap)
             if cap <= 0:
                 raise ValueError(f"coupon cap must be > 0, got {cap}")
-        # relaxing any of these would mean a different promotion entirely
-        # (multi-coupon, cross-bookmaker); rejected at the API level.
-        if not (self.first_bet_only and self.single_outcome_spend and self.same_bookmaker):
-            raise CouponRuleError(
-                "only the single-bookmaker, single-outcome, first-bet-only "
-                "coupon scheme is supported"
-            )
 
 
 DEFAULT_RULES = CouponRules()
@@ -130,6 +118,59 @@ def exploitability(table: OddsTable, ffg: FirstFreeGamble) -> Rational:
     return upper_natural_extension(upper_pmf_from_odds(table), ffg.gamble)
 
 
+def coupon_values(
+    table: OddsTable, rules: CouponRules = DEFAULT_RULES
+) -> list[tuple[Rational, int, int]]:
+    """Upper natural extension of every admissible pair's combined gamble.
+
+    Returns ``[(value, first index, coupon index)]`` in index order.  The
+    combined gamble of pair (i, j) takes three values: ``b_i`` on the
+    other outcomes, whose caps total ``R = T − m_i − m_j`` (``T`` the cap
+    total), ``c = b_i·(b_j − a_j)/b_j`` on j (cap ``m_j``) and ``−a_i``
+    on i (cap ``m_i``).  ``b_i`` is the largest of the three, so the
+    greedy dual fills ``R`` first: if ``R ≥ 1`` the price is ``b_i``,
+    else ``b_i·R`` plus the remaining ``1 − R`` put on the larger of
+    ``c`` and ``−a_i`` up to its cap and the rest on the other, which
+    ``T ≥ 1`` leaves room for.  This is the Choquet price
+    :func:`~dutchbook.choquet.upper_natural_extension` gives, without
+    building the gamble.  Pairs whose first stake exceeds the coupon cap
+    are omitted.
+    """
+    verdict = check_asl_single(table)
+    if not verdict.avoids:
+        raise BaseOddsSureLossError(verdict.total)
+    total = verdict.total
+    caps = [o.upper_mass for o in table.odds]
+    rates = [(o.denominator - o.numerator) / o.denominator for o in table.odds]
+    cap_value = rules.max_coupon_value
+    values = []
+    for i, first in enumerate(table.odds):
+        stake = first.denominator
+        if cap_value is not None and stake > cap_value:
+            continue
+        loss = -first.numerator
+        m_i = caps[i]
+        outside_i = total - m_i
+        for j, (m_j, rate) in enumerate(zip(caps, rates)):
+            if j == i:
+                continue
+            rest = outside_i - m_j
+            if rest >= 1:
+                values.append((stake, i, j))
+                continue
+            coupon = stake * rate
+            left = 1 - rest
+            if coupon >= loss:
+                high, high_cap, low = coupon, m_j, loss
+            else:
+                high, high_cap, low = loss, m_i, coupon
+            take = min(left, high_cap)
+            values.append(
+                (stake * rest + high * take + low * (left - take), i, j)
+            )
+    return values
+
+
 def enumerate_coupons(
     table: OddsTable, rules: CouponRules = DEFAULT_RULES
 ) -> list[tuple[FirstFreeGamble, Rational]]:
@@ -139,27 +180,11 @@ def enumerate_coupons(
     ascending (best customer gain first), ties by outcome index pair.
     Pairs whose first stake exceeds the coupon cap are omitted.
     """
-    verdict = check_asl_single(table)
-    if not verdict.avoids:
-        raise BaseOddsSureLossError(verdict.total)
-    pmf = upper_pmf_from_odds(table)
-    entries = []
-    for first in table.space:
-        if (
-            rules.max_coupon_value is not None
-            and table.odds_for(first).denominator > rules.max_coupon_value
-        ):
-            continue
-        for coupon in table.space:
-            if first == coupon:
-                continue
-            ffg = first_free_gamble(table, first, coupon, rules)
-            value = upper_natural_extension(pmf, ffg.gamble)
-            entries.append((ffg, value))
-    entries.sort(
-        key=lambda e: (e[1], e[0].first_outcome.index, e[0].coupon_outcome.index)
-    )
-    return entries
+    space = table.space
+    return [
+        (first_free_gamble(table, space[i], space[j], rules), value)
+        for value, i, j in sorted(coupon_values(table, rules))
+    ]
 
 
 def capped_out_pairs(

@@ -8,13 +8,19 @@ customer's payoff is the pointwise negation.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Union
+
+if TYPE_CHECKING:
+    from .choquet import UpperPMF
 
 Rational = Fraction
 RationalLike = Union[Rational, int, str]
+
+_ODDS_TEXT = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 
 
 def as_rational(value: RationalLike) -> Rational:
@@ -147,16 +153,17 @@ class FractionalOdds:
 
     @classmethod
     def parse(cls, text: str) -> "FractionalOdds":
-        """Parse bookmaker notation: ``"13/5"`` or the shorthand ``"3"`` for 3/1."""
-        parts = text.strip().split("/")
-        try:
-            if len(parts) == 1:
-                return cls(int(parts[0]), 1)
-            if len(parts) == 2:
-                return cls(int(parts[0]), int(parts[1]))
-        except ValueError:
-            pass
-        raise ValueError(f"cannot parse odds {text!r}: expected 'a/b' or 'a'")
+        """Parse bookmaker notation: ``"13/5"`` or the shorthand ``"3"`` for 3/1.
+
+        Only ASCII digits are read: a sign, an underscore, a space inside
+        the text or another script's digits, all of which ``int`` accepts,
+        are refused.
+        """
+        match = _ODDS_TEXT.fullmatch(text.strip())
+        if match is None:
+            raise ValueError(f"cannot parse odds {text!r}: expected 'a/b' or 'a'")
+        numerator, denominator = match.groups()
+        return cls(int(numerator), int(denominator or 1))
 
     @property
     def ratio(self) -> Rational:
@@ -314,6 +321,17 @@ class OddsTable:
 
     def gambles(self) -> tuple[Gamble, ...]:
         return tuple(self.gamble(o) for o in self.space)
+
+    @cached_property
+    def upper_pmf(self) -> UpperPMF:
+        """The implied caps b/(a+b) as one :class:`~dutchbook.choquet.UpperPMF`.
+
+        Built once per table, so every verdict, price and strategy report
+        on the table shares it.
+        """
+        from .choquet import UpperPMF  # choquet imports this module
+
+        return UpperPMF(self.space, tuple(o.upper_mass for o in self.odds))
 
 
 @dataclass(frozen=True)

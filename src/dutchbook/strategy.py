@@ -21,7 +21,9 @@ from .coupons import (
     DEFAULT_RULES,
     CouponRules,
     FirstFreeGamble,
-    enumerate_coupons,
+    coupon_values,
+    enumerate_coupons,  # noqa: F401  (bench/tracer.py wraps it here)
+    first_free_gamble,
 )
 from .errors import (
     BaseOddsSureLossError,
@@ -33,7 +35,7 @@ from .model import Gamble, OddsTable, Outcome, Rational
 from .sureloss import check_asl_single, upper_pmf_from_odds
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DualSolution:
     """Greedy optimal distribution for pricing a gamble under mass caps.
 
@@ -57,7 +59,7 @@ class DualSolution:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StrategyReport:
     """A certified betting strategy for one coupon position.
 
@@ -194,21 +196,6 @@ def solve_stakes(
     return StrategyReport(None, None, alpha, tuple(stakes), gain, dual)
 
 
-def _combined_payoffs(
-    gamble: Gamble, gambles: tuple[Gamble, ...], stakes: list[Fraction]
-) -> list[Fraction]:
-    """Bookmaker payoff of gamble + sum(stake_i * odds gamble_i), per outcome."""
-    n = len(gamble.payoffs)
-    out = []
-    for w in range(n):
-        value = gamble.payoffs[w]
-        for i in range(n):
-            if stakes[i]:
-                value += stakes[i] * gambles[i].payoffs[w]
-        out.append(value)
-    return out
-
-
 def certificate_failures(
     table: OddsTable, gamble: Gamble, report: StrategyReport
 ) -> list[str]:
@@ -243,8 +230,16 @@ def certificate_failures(
     for outcome, stake in zip(space, report.stakes):
         if stake < 0:
             failures.append(f"stake on {outcome.label} is negative: {stake}")
-    gambles = table.gambles()
-    combined = _combined_payoffs(gamble, gambles, list(report.stakes))
+    # stake s_i at odds a_i/b_i keeps b_i unless outcome i comes up, when
+    # it pays a_i instead: b_i·1 − (a_i+b_i)·e_i, as in gamble_from_odds
+    kept = sum(
+        (s * o.denominator for s, o in zip(report.stakes, table.odds)),
+        Fraction(0),
+    )
+    combined = [
+        f + kept - s * (o.numerator + o.denominator)
+        for f, s, o in zip(gamble.payoffs, report.stakes, table.odds)
+    ]
     for outcome, value in zip(space, combined):
         if value > report.alpha:
             failures.append(
@@ -303,14 +298,17 @@ def best_strategy(
 ) -> StrategyReport | None:
     """Best certified coupon strategy, or None when no coupon is exploitable.
 
-    Scans every admissible (first, coupon) pair and keeps the one with
-    the most negative value; ties fall to the lexicographically first
-    pair.  The base odds must avoid sure loss.
+    Prices every admissible (first, coupon) pair in closed form
+    (:func:`~dutchbook.coupons.coupon_values`) and keeps the one with the
+    most negative value; ties fall to the lexicographically first pair.
+    The base odds must avoid sure loss.
     """
-    entries = enumerate_coupons(table, rules)
-    if not entries:
+    values = coupon_values(table, rules)
+    if not values:
         return None
-    ffg, value = entries[0]
+    value, first, coupon = min(values)
     if value >= 0:
         return None
+    space = table.space
+    ffg = first_free_gamble(table, space[first], space[coupon], rules)
     return strategy_for_coupon(table, ffg)

@@ -46,8 +46,9 @@ def upper_pmf_from_odds(table: OddsTable) -> UpperPMF:
 
     Any heavier weight on an outcome would make the bookmaker's gamble on
     it a guaranteed expected loss, so the offer caps the probability.
+    The table builds its caps once and every caller shares them.
     """
-    return UpperPMF(table.space, tuple(o.upper_mass for o in table.odds))
+    return table.upper_pmf
 
 
 def check_asl_single(table: OddsTable) -> ASLVerdict:

@@ -99,3 +99,54 @@ def pmf_exists_for(gamble_rows):
         ):
             return True
     return False
+
+
+def combined_payoffs(gamble_rows, payoffs, stakes):
+    """``payoffs + Σ_i stakes[i]·gamble_rows[i]`` per outcome, term by term."""
+    n = len(payoffs)
+    return [
+        payoffs[w]
+        + sum((stakes[i] * gamble_rows[i][w] for i in range(n)), Fraction(0))
+        for w in range(n)
+    ]
+
+
+def certificate_failures_by_expansion(table, gamble, report):
+    """Reference for ``strategy.certificate_failures``: the same checks and
+    messages, with caps b/(a+b) taken from the quotes and every odds gamble
+    of the table expanded in full, O(n²)."""
+    space = table.space
+    p = report.certificate.p
+    if len(p) != len(space):
+        return [f"dual vector has {len(p)} entries for {len(space)} outcomes"]
+    if len(report.stakes) != len(space):
+        return [
+            f"stake vector has {len(report.stakes)} entries for "
+            f"{len(space)} outcomes"
+        ]
+    failures = []
+    if sum(p, Fraction(0)) != 1:
+        failures.append(f"dual masses sum to {sum(p, Fraction(0))}, not 1")
+    for outcome, mass, odds in zip(space, p, table.odds):
+        cap = odds.denominator / (odds.numerator + odds.denominator)
+        if not 0 <= mass <= cap:
+            failures.append(
+                f"dual mass for {outcome.label} is {mass}, outside [0, {cap}]"
+            )
+    for outcome, stake in zip(space, report.stakes):
+        if stake < 0:
+            failures.append(f"stake on {outcome.label} is negative: {stake}")
+    rows = [g.payoffs for g in table.gambles()]
+    combined = combined_payoffs(rows, gamble.payoffs, report.stakes)
+    for outcome, value in zip(space, combined):
+        if value > report.alpha:
+            failures.append(
+                f"combined payoff at {outcome.label} is {value} > alpha "
+                f"{report.alpha}: stake vector is infeasible"
+            )
+    objective = sum((w * v for w, v in zip(p, gamble.payoffs)), Fraction(0))
+    if objective != report.alpha:
+        failures.append(
+            f"dual objective {objective} differs from alpha {report.alpha}"
+        )
+    return failures

@@ -10,8 +10,10 @@ from dutchbook import (
     exploitability,
     first_free_gamble,
     gamble_from_odds,
+    upper_natural_extension,
+    upper_pmf_from_odds,
 )
-from dutchbook.coupons import capped_out_pairs
+from dutchbook.coupons import capped_out_pairs, coupon_values
 
 # independently recomputed by vertex enumeration over the dual polytope
 FOREST_PAIR_VALUES = {
@@ -26,20 +28,11 @@ FOREST_PAIR_VALUES = {
 
 class TestCouponRules:
     def test_default_rules(self):
-        rules = CouponRules()
-        assert rules.max_coupon_value is None
-        assert rules.first_bet_only and rules.single_outcome_spend
-        assert rules.same_bookmaker
+        assert CouponRules().max_coupon_value is None
 
     def test_cap_must_be_positive(self):
         with pytest.raises(ValueError):
             CouponRules(max_coupon_value=Fraction(0))
-
-    def test_relaxed_scheme_rejected(self):
-        with pytest.raises(CouponRuleError):
-            CouponRules(same_bookmaker=False)
-        with pytest.raises(CouponRuleError):
-            CouponRules(single_outcome_spend=False)
 
 
 class TestFirstFreeGamble:
@@ -156,6 +149,17 @@ class TestEnumerateCoupons:
 
     def test_count_is_ordered_pairs(self, bet2):
         assert len(enumerate_coupons(bet2)) == 24 * 23
+
+    def test_closed_form_matches_choquet_price_on_every_bet2_pair(self, bet2):
+        pmf = upper_pmf_from_odds(bet2)
+        space = bet2.space
+        values = coupon_values(bet2)
+        assert [(i, j) for _, i, j in values] == [
+            (i, j) for i in range(24) for j in range(24) if i != j
+        ]
+        for value, i, j in values:
+            ffg = first_free_gamble(bet2, space[i], space[j])
+            assert value == upper_natural_extension(pmf, ffg.gamble)
 
     def test_ties_break_lexicographically(self, table_of):
         table = table_of({"A": "1/2", "B": "1/2"})

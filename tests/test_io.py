@@ -71,6 +71,17 @@ class TestParseMarketCSV:
         with pytest.raises(DataError, match="line 3"):
             parse_market_csv(text)
 
+    @pytest.mark.parametrize(
+        "cell", ["3/0_1", "3_0", "+3", "\uff11\uff12/\uff15", " 7 / 2 ", "3/0"]
+    )
+    def test_odds_cell_outside_the_grammar_names_line(self, cell):
+        text = f"outcome,bookmaker,odds\nW,B,1/1\nD,B,{cell}\n"
+        with pytest.raises(DataError, match="line 3"):
+            parse_market_csv(text)
+        wide = f"outcome,B\nW,1/1\nD,{cell}\n"
+        with pytest.raises(DataError, match="line 3"):
+            parse_wide_market_csv(wide)
+
     def test_outcome_sets_must_match_across_bookmakers(self):
         text = (
             "outcome,bookmaker,odds\n"

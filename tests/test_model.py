@@ -77,7 +77,12 @@ class TestFractionalOdds:
         assert FractionalOdds.parse("13/5") == FractionalOdds(13, 5)
         assert FractionalOdds.parse("3") == FractionalOdds(3, 1)
 
-    @pytest.mark.parametrize("bad", ["", "a/b", "1.5", "1/2/3", "-1/2"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["", "a/b", "1.5", "1/2/3", "-1/2"]
+        # int() reads these, as 3/1, 30/1, 3/1, 12/5 and 7/2
+        + ["3/0_1", "3_0", "+3", "\uff11\uff12/\uff15", " 7 / 2 "],
+    )
     def test_parse_rejects_garbage(self, bad):
         with pytest.raises(ValueError):
             FractionalOdds.parse(bad)

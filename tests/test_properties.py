@@ -1,11 +1,13 @@
 """Randomised invariants, exact arithmetic throughout."""
 
+from dataclasses import replace
 from fractions import Fraction
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from dutchbook import (
+    CouponRules,
     FractionalOdds,
     Gamble,
     Market,
@@ -13,6 +15,8 @@ from dutchbook import (
     OutcomeSpace,
     UpperPMF,
     as_rational,
+    best_strategy,
+    certificate_failures,
     check_asl_market,
     check_asl_single,
     construct_dual,
@@ -34,7 +38,14 @@ from dutchbook import (
     upper_pmf_from_odds,
     verify_certificate,
 )
-from oracles import pmf_exists_for, solve_exact, upper_extension_vertices
+from dutchbook.coupons import coupon_values
+from oracles import (
+    certificate_failures_by_expansion,
+    combined_payoffs,
+    pmf_exists_for,
+    solve_exact,
+    upper_extension_vertices,
+)
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 nonneg_rationals = st.fractions(min_value=0, max_value=10, max_denominator=12)
@@ -49,6 +60,12 @@ odds_denominators = st.fractions(
 
 def _space(n):
     return OutcomeSpace.from_labels([f"o{i}" for i in range(n)])
+
+
+def _table(*quotes):
+    return OddsTable(
+        "Book", _space(len(quotes)), tuple(map(FractionalOdds.parse, quotes))
+    )
 
 
 @st.composite
@@ -296,6 +313,44 @@ class TestCouponProperties:
         n = len(table.space)
         assert len(enumerate_coupons(table)) == n * (n - 1)
 
+    @settings(max_examples=150)
+    @given(table=solvent_tables(), cap=st.none() | odds_denominators)
+    @example(table=_table("1/2", "1/3"), cap=None)  # n = 2: no other outcome
+    @example(table=_table("1/1", "2/1", "1/2"), cap=None)  # (0, 1): c = -a_i
+    @example(table=_table("1/1", "1/1", "1/1", "1/1"), cap=None)  # R = 1
+    @example(table=_table("1/1", "1/2", "1/4"), cap=Fraction(2))  # stake 4 out
+    def test_closed_form_pair_values_match_the_choquet_price(self, table, cap):
+        pmf = upper_pmf_from_odds(table)
+        expected = [
+            (
+                upper_natural_extension(
+                    pmf, first_free_gamble(table, first, coupon).gamble
+                ),
+                first.index,
+                coupon.index,
+            )
+            for first in table.space
+            if cap is None or table.odds_for(first).denominator <= cap
+            for coupon in table.space
+            if coupon != first
+        ]
+        rules = CouponRules(max_coupon_value=cap)
+        assert coupon_values(table, rules) == expected
+
+    @settings(max_examples=60)
+    @given(table=solvent_tables())
+    def test_best_strategy_takes_the_first_enumerated_pair(self, table):
+        best, value = enumerate_coupons(table)[0]
+        report = best_strategy(table)
+        if value >= 0:
+            assert report is None
+            return
+        assert (report.first_outcome, report.coupon_outcome) == (
+            best.first_outcome,
+            best.coupon_outcome,
+        )
+        assert report.alpha == value
+
     @settings(max_examples=40)
     @given(table=solvent_tables(max_size=4))
     def test_negative_value_iff_strictly_positive_certified_gain(self, table):
@@ -334,11 +389,8 @@ class TestStrategyProperties:
         report = strategy_for_coupon(table, ffg)
         if report.alpha < 0:
             assert report.certificate.k_prime >= n - 2
-        gambles_ = table.gambles()
-        for w in range(n):
-            combined = ffg.gamble.payoffs[w] + sum(
-                report.stakes[k] * gambles_[k].payoffs[w] for k in range(n)
-            )
+        rows = [g.payoffs for g in table.gambles()]
+        for combined in combined_payoffs(rows, ffg.gamble.payoffs, report.stakes):
             assert combined <= report.alpha
             if report.alpha < 0:
                 assert -combined >= report.guaranteed_gain
@@ -380,3 +432,28 @@ class TestStrategyProperties:
         rows = [[gambles_[i].payoffs[w] for i in support] for w in support]
         rhs = [report.alpha - gamble.payoffs[w] for w in support]
         assert solve_exact(rows, rhs) == [report.stakes[i] for i in support]
+
+    @settings(max_examples=150)
+    @given(system=stake_systems(), data=st.data())
+    def test_certificate_check_matches_the_expanded_payoffs(self, system, data):
+        # honest, arbitrary (often negative) and perturbed stakes, each
+        # with alpha kept or shifted
+        table, gamble = system
+        dual = construct_dual(upper_pmf_from_odds(table), gamble)
+        report = solve_stakes(table, gamble, dual)
+        stakes = list(report.stakes)
+        tamper = data.draw(st.sampled_from(("none", "arbitrary", "perturb")))
+        if tamper == "arbitrary":
+            stakes = [data.draw(rationals) for _ in stakes]
+        elif tamper == "perturb":
+            stakes[data.draw(st.integers(0, len(stakes) - 1))] += data.draw(
+                rationals
+            )
+        report = replace(
+            report,
+            stakes=tuple(stakes),
+            alpha=report.alpha + data.draw(st.just(0) | rationals),
+        )
+        assert certificate_failures(
+            table, gamble, report
+        ) == certificate_failures_by_expansion(table, gamble, report)

@@ -21,18 +21,10 @@ from dutchbook import (
     upper_pmf_from_odds,
     verify_certificate,
 )
+from oracles import combined_payoffs
 
 WDL = OutcomeSpace.from_labels(["W", "D", "L"])
 G_DL = Gamble(WDL, (5, -13, -11))
-
-
-def combined_payoffs(table, gamble, stakes):
-    gambles = table.gambles()
-    return [
-        gamble.payoffs[w]
-        + sum(stakes[i] * gambles[i].payoffs[w] for i in range(len(stakes)))
-        for w in range(len(stakes))
-    ]
 
 
 class TestOrderOutcomes:
@@ -202,7 +194,8 @@ class TestStrategyForCoupon:
         space = forest.space
         ffg = first_free_gamble(forest, space.outcome("D"), space.outcome("L"))
         report = strategy_for_coupon(forest, ffg)
-        combined = combined_payoffs(forest, ffg.gamble, list(report.stakes))
+        rows = [g.payoffs for g in forest.gambles()]
+        combined = combined_payoffs(rows, ffg.gamble.payoffs, report.stakes)
         assert all(-v >= report.guaranteed_gain for v in combined)
 
     def test_degenerate_boundary_coupon(self, table_of):
