@@ -2,22 +2,35 @@
 
 An :class:`UpperPMF` caps the probability of each single outcome.  The
 least-committal selling price it induces for an arbitrary gamble is a
-Choquet integral: slice the gamble into its level sets, price each slice
-by capped summation, and add the slices back up.  The closed form is only
-valid while the caps total at least 1; below that the bounds themselves
-are exploitable and :class:`~dutchbook.errors.SureLossError` is raised.
+Choquet integral.  For caps on single outcomes that integral is a greedy
+fill: sort the payoffs from highest down and give each its full cap
+until the mass reaches 1.  The level-set decomposition, which slices the
+gamble into nested sets and prices each slice by capped summation, gives
+the same number and is kept for reports.  Both are only valid while the
+caps total at least 1; below that the bounds themselves are exploitable
+and :class:`~dutchbook.errors.SureLossError` is raised.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .errors import SureLossError
 from .model import Gamble, Outcome, OutcomeSpace, Rational, as_rational
 
-EventLike = Iterable[Union[Outcome, int]]
+if TYPE_CHECKING:
+    # kept out of run time: typing caches a subscripted alias for the life
+    # of the process, which would pin this import's Outcome class (and its
+    # whole module) after a re-import
+    from typing import Iterable, Union
+
+    EventLike = Iterable[Union[Outcome, int]]
+
+_payoff = operator.itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -45,6 +58,11 @@ class UpperPMF:
         return self.masses[outcome.index]
 
     def total(self) -> Rational:
+        return self._total
+
+    @cached_property
+    def _total(self) -> Rational:
+        # every verdict, price and dual reads the total; sum the caps once
         return sum(self.masses, Fraction(0))
 
     @property
@@ -127,7 +145,15 @@ def _event_indices(space: OutcomeSpace, event: EventLike) -> frozenset[int]:
                 raise ValueError(f"outcome {member} not in the pmf's space")
             indices.add(member.index)
         else:
-            i = int(member)
+            try:
+                i = operator.index(member)
+            except TypeError:
+                i = None
+            if i is None or isinstance(member, bool):  # no 1.9 -> 1, True -> 1
+                raise ValueError(
+                    f"event member {member!r} is neither an outcome nor an "
+                    f"outcome index"
+                )
             if not 0 <= i < len(space):
                 raise ValueError(f"outcome index {i} out of range")
             indices.add(i)
@@ -159,9 +185,12 @@ def _require_asl(pmf: UpperPMF) -> None:
 def upper_natural_extension(pmf: UpperPMF, gamble: Gamble) -> Rational:
     """Least selling price for ``gamble`` consistent with the caps.
 
-    Choquet integral over the level-set decomposition: base plus each
-    slice weight times the slice's upper event probability.  Requires
-    the caps to total at least 1.
+    The Choquet integral as a greedy fill: walk the payoffs from highest
+    down, giving each outcome its full cap while the mass left to place
+    exceeds it, and the rest of the mass to the outcome where it runs
+    out.  This equals base plus each level-set slice weight times the
+    slice's upper event probability, in O(n log n).  Requires the caps
+    to total at least 1.
 
     >>> space = OutcomeSpace.from_labels(["W", "D", "L"])
     >>> pmf = UpperPMF(space, (Fraction(4, 7), Fraction(5, 18), Fraction(5, 21)))
@@ -171,11 +200,16 @@ def upper_natural_extension(pmf: UpperPMF, gamble: Gamble) -> Rational:
     if gamble.space != pmf.space:
         raise ValueError("gamble and pmf are over different outcome spaces")
     _require_asl(pmf)
-    parts = decompose(gamble)
-    value = parts.base
-    for level in parts.levels:
-        value += level.weight * upper_event(pmf, level.members)
-    return value
+    value = Fraction(0)
+    left = Fraction(1)
+    for payoff, cap in sorted(
+        zip(gamble.payoffs, pmf.masses), key=_payoff, reverse=True
+    ):
+        if cap >= left:  # caps total at least 1, so this is always reached
+            break
+        value += cap * payoff
+        left -= cap
+    return value + left * payoff
 
 
 def lower_natural_extension(pmf: UpperPMF, gamble: Gamble) -> Rational:

@@ -22,6 +22,13 @@ RationalLike = Union[Rational, int, str]
 
 _ODDS_TEXT = re.compile(r"([0-9]+)(?:/([0-9]+))?")
 
+# Odds components, payoffs and gamble cells are mostly small integers;
+# as_rational hands out one shared Fraction for each instead of a new one.
+_SMALL_LIMIT = 256
+_SMALL_RATIONALS = tuple(
+    Fraction(i) for i in range(-_SMALL_LIMIT, _SMALL_LIMIT + 1)
+)
+
 
 def as_rational(value: RationalLike) -> Rational:
     """Coerce ``value`` to an exact rational.
@@ -39,6 +46,8 @@ def as_rational(value: RationalLike) -> Rational:
         )
     if isinstance(value, Fraction):
         return value
+    if type(value) is int and -_SMALL_LIMIT <= value <= _SMALL_LIMIT:
+        return _SMALL_RATIONALS[value + _SMALL_LIMIT]
     return Fraction(value)
 
 

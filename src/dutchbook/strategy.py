@@ -177,6 +177,8 @@ def solve_stakes(
         bank = slack[-1]
     stakes = [Fraction(0)] * len(space)
     for position, (w, c, d) in enumerate(zip(support, slack, spread), start=1):
+        if bank == c:  # keep the shared zero rather than build another
+            continue
         stakes[w] = (bank - c) / d
         if stakes[w] < 0:
             raise StakeSystemError(

@@ -1,14 +1,17 @@
 """Independent brute-force oracles for the test suite.
 
 These deliberately re-derive answers from first principles (vertex
-enumeration over small polytopes, naive exact elimination) without
-touching the library's own algorithms, so agreement is meaningful.
+enumeration over small polytopes, naive exact elimination, the level-set
+form of the Choquet integral) without touching the library's own
+algorithms, so agreement is meaningful.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+
+from dutchbook import SureLossError, decompose, upper_event
 
 
 def solve_exact(rows, rhs):
@@ -27,6 +30,21 @@ def solve_exact(rows, rhs):
                 factor = a[r][col]
                 a[r] = [v - factor * w for v, w in zip(a[r], a[col])]
     return [a[r][n] for r in range(n)]
+
+
+def choquet_by_levels(pmf, gamble):
+    """Reference for ``upper_natural_extension``: the Choquet integral as a
+    level-set sum, base plus each slice weight times the upper probability
+    of the slice's set (the capped sum of its members' masses)."""
+    if gamble.space != pmf.space:
+        raise ValueError("gamble and pmf are over different outcome spaces")
+    if pmf.total() < 1:
+        raise SureLossError(pmf.total())
+    parts = decompose(gamble)
+    value = parts.base
+    for level in parts.levels:
+        value += level.weight * upper_event(pmf, level.members)
+    return value
 
 
 def upper_extension_vertices(masses, payoffs):

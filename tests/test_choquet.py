@@ -1,3 +1,8 @@
+import gc
+import importlib
+import re
+import sys
+import weakref
 from fractions import Fraction
 from itertools import combinations
 
@@ -116,6 +121,13 @@ class TestEventBounds:
         with pytest.raises(ValueError):
             upper_event(FOREST_PMF, [7])
 
+    @pytest.mark.parametrize("member", [1.9, 0.5, True, False, "1", Fraction(1)])
+    def test_member_that_is_not_an_index_is_named(self, member):
+        # int() would read 1.9 and True as outcome 1 and 0.5 as outcome 0
+        for bound in (upper_event, lower_event):
+            with pytest.raises(ValueError, match=re.escape(repr(member))):
+                bound(FOREST_PMF, [member])
+
 
 class TestUpperNaturalExtension:
     def test_forest_coupon_value(self):
@@ -182,3 +194,34 @@ class TestLowerNaturalExtension:
         for payoffs in [(5, -13, -11), (1, 2, 3), (-1, -1, 4)]:
             g = Gamble(WDL, payoffs)
             assert lower_natural_extension(FOREST_PMF, g) <= upper_natural_extension(FOREST_PMF, g)
+
+
+def _fresh_choquet():
+    for name in [m for m in sys.modules if m.partition(".")[0] == "dutchbook"]:
+        del sys.modules[name]
+    return importlib.import_module("dutchbook.choquet")
+
+
+def _outcome_class_of_a_dropped_import():
+    first = _fresh_choquet()
+    ref = weakref.ref(first.Outcome)
+    _fresh_choquet()
+    return ref
+
+
+def test_reimport_frees_the_previous_package():
+    # a long-lived process that imports the package afresh (the benchmark
+    # does, every set-up) must not keep the old modules alive
+    saved = {
+        name: module
+        for name, module in sys.modules.items()
+        if name.partition(".")[0] == "dutchbook"
+    }
+    try:
+        ref = _outcome_class_of_a_dropped_import()
+        gc.collect()
+        assert ref() is None
+    finally:
+        for name in [m for m in sys.modules if m.partition(".")[0] == "dutchbook"]:
+            del sys.modules[name]
+        sys.modules.update(saved)

@@ -23,6 +23,13 @@ class TestRationalHelpers:
         assert as_rational("13/5") == Fraction(13, 5)
         assert as_rational(Fraction(-47, 21)) == Fraction(-47, 21)
 
+    def test_as_rational_ints_inside_and_outside_the_shared_range(self):
+        for i in range(-300, 301):
+            q = as_rational(i)
+            assert type(q) is Fraction and q == i
+        assert as_rational(256) is as_rational(256)
+        assert as_rational(True) == 1 and as_rational(False) == 0
+
     def test_as_rational_rejects_floats(self):
         with pytest.raises(TypeError):
             as_rational(0.1)

@@ -3,6 +3,7 @@
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -13,6 +14,7 @@ from dutchbook import (
     Market,
     OddsTable,
     OutcomeSpace,
+    SureLossError,
     UpperPMF,
     as_rational,
     best_strategy,
@@ -41,6 +43,7 @@ from dutchbook import (
 from dutchbook.coupons import coupon_values
 from oracles import (
     certificate_failures_by_expansion,
+    choquet_by_levels,
     combined_payoffs,
     pmf_exists_for,
     solve_exact,
@@ -242,6 +245,63 @@ class TestChoquetProperties:
         pmf, gamble = pair
         expected = upper_extension_vertices(pmf.masses, gamble.payoffs)
         assert upper_natural_extension(pmf, gamble) == expected
+
+
+@st.composite
+def deep_fills(draw, max_size=30):
+    """Caps and a gamble; half the time the caps are scaled to total
+    exactly 1, so the greedy fill runs through every outcome."""
+    pmf, gamble = draw(pmf_gamble_pairs(max_size=max_size))
+    total = pmf.total()
+    if draw(st.booleans()) and total > 1:
+        pmf = UpperPMF(pmf.space, tuple(m / total for m in pmf.masses))
+    return pmf, gamble
+
+
+def _pair(masses, payoffs):
+    space = _space(len(masses))
+    return UpperPMF(space, tuple(masses)), Gamble(space, tuple(payoffs))
+
+
+class TestGreedyFillProperties:
+    """``upper_natural_extension`` is a sorted greedy fill; it must price
+    every gamble as the level-set sum and, where enumerable, as the best
+    vertex of the caps' polytope."""
+
+    @settings(max_examples=150)
+    @given(pair=deep_fills())
+    @example(pair=_pair([1], [Fraction(-7, 3)]))  # n = 1
+    @example(pair=_pair(["1/2", "1/3", "1/2", "1/4"], [2, 5, 2, 5]))  # ties
+    @example(pair=_pair(["1/2", "1/3", "1/6"], [4, -1, 3]))  # caps total 1
+    @example(pair=_pair(["1/5", 1, "1/5"], [1, -2, 3]))  # a cap of 1
+    @example(pair=_pair(["1/2", "2/3", "1/9"], [6, 6, 6]))  # constant gamble
+    def test_greedy_fill_matches_the_level_set_sum(self, pair):
+        pmf, gamble = pair
+        value = upper_natural_extension(pmf, gamble)
+        assert value == choquet_by_levels(pmf, gamble)
+        if len(gamble.space) <= 8:
+            assert value == upper_extension_vertices(pmf.masses, gamble.payoffs)
+        assert lower_natural_extension(pmf, gamble) == -upper_natural_extension(
+            pmf, -gamble
+        )
+        assert lower_natural_extension(pmf, gamble) == -choquet_by_levels(
+            pmf, -gamble
+        )
+
+    @given(pair=pmf_gamble_pairs(max_size=30), data=st.data())
+    def test_caps_below_one_and_foreign_gambles_are_refused(self, pair, data):
+        pmf, gamble = pair
+        n = len(gamble.space)
+        scale = data.draw(st.fractions(0, 1, max_denominator=16))
+        thin = UpperPMF(pmf.space, tuple(m * scale for m in pmf.masses))
+        foreign = Gamble(_space(n + 1), gamble.payoffs + (Fraction(0),))
+        for price in (upper_natural_extension, lower_natural_extension):
+            if thin.total() < 1:
+                with pytest.raises(SureLossError) as err:
+                    price(thin, gamble)
+                assert err.value.total == thin.total()
+            with pytest.raises(ValueError, match="different outcome spaces"):
+                price(pmf, foreign)
 
 
 class TestSureLossProperties:
