@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 from . import io
@@ -24,7 +25,13 @@ from .choquet import (
     lower_natural_extension,
     upper_natural_extension,
 )
-from .coupons import CouponRules, capped_out_pairs, enumerate_coupons
+from .coupons import (
+    CouponRules,
+    capped_out_pairs,
+    enumerate_coupons,  # noqa: F401  (bench/tracer.py wraps it here)
+    first_free_gamble,
+    scaled_coupon_values,
+)
 from .errors import (
     CertificateError,
     CouponRuleError,
@@ -164,14 +171,27 @@ def _cmd_check_asl(args) -> dict:
     return report
 
 
+def _coupon_rules(text: str | None) -> CouponRules:
+    if not text:
+        return CouponRules()
+    try:
+        return CouponRules(max_coupon_value=as_rational(text))
+    except (ValueError, ZeroDivisionError):
+        raise DataError(
+            f"--max-coupon must be a positive 'a/b' or integer, got {text!r}"
+        ) from None
+
+
 def _cmd_find_coupon_arbitrage(args) -> dict:
     market = _load_market(args.file)
     table = market.table(args.bookmaker)
-    cap = as_rational(args.max_coupon) if args.max_coupon else None
-    rules = CouponRules(max_coupon_value=cap)
+    rules = _coupon_rules(args.max_coupon)
+    cap = rules.max_coupon_value
     base = check_asl_single(table)
-    entries = enumerate_coupons(table, rules)  # raises on base sure loss
-    exploitable = [(ffg, value) for ffg, value in entries if value < 0]
+    # raises on base sure loss; sorted, the best pair comes first
+    scale, values = scaled_coupon_values(table, rules)
+    values.sort()
+    space = table.space
     report = {
         "command": "find-coupon-arbitrage",
         "source": args.file,
@@ -179,26 +199,28 @@ def _cmd_find_coupon_arbitrage(args) -> dict:
         "outcomes": list(market.space.labels),
         "base": _verdict_fields(base),
         "rules": {"max_coupon_value": _rat(cap) if cap is not None else None},
-        "pair_count": len(entries),
-        "exploitable_count": len(exploitable),
+        "pair_count": len(values),
+        "exploitable_count": sum(1 for v, _, _ in values if v < 0),
         "excluded_pairs": [
             {"first": first.label, "coupon": coupon.label, "reason": reason}
             for first, coupon, reason in capped_out_pairs(table, rules)
         ],
     }
     if args.all:
+        priced = ((Fraction(v, scale), i, j) for v, i, j in values)
         report["evaluations"] = [
             {
-                "first": ffg.first_outcome.label,
-                "coupon": ffg.coupon_outcome.label,
+                "first": space[i].label,
+                "coupon": space[j].label,
                 "value": _rat(value),
                 "value_decimal": _dec(value),
                 "exploitable": value < 0,
             }
-            for ffg, value in entries
+            for value, i, j in priced
         ]
-    if exploitable:
-        ffg, _ = entries[0]
+    if values and values[0][0] < 0:
+        _, i, j = values[0]
+        ffg = first_free_gamble(table, space[i], space[j], rules)
         strategy = strategy_for_coupon(table, ffg)
         report["strategy"] = _strategy_fields(table, ffg.gamble, strategy)
     else:

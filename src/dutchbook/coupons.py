@@ -12,6 +12,8 @@ the customer's best guaranteed gain.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import lcm
 
 from .choquet import upper_natural_extension
 from .errors import BaseOddsSureLossError, CouponRuleError
@@ -118,12 +120,13 @@ def exploitability(table: OddsTable, ffg: FirstFreeGamble) -> Rational:
     return upper_natural_extension(upper_pmf_from_odds(table), ffg.gamble)
 
 
-def coupon_values(
+def scaled_coupon_values(
     table: OddsTable, rules: CouponRules = DEFAULT_RULES
-) -> list[tuple[Rational, int, int]]:
-    """Upper natural extension of every admissible pair's combined gamble.
+) -> tuple[int, list[tuple[int, int, int]]]:
+    """Every admissible pair's price as an integer over one common scale.
 
-    Returns ``[(value, first index, coupon index)]`` in index order.  The
+    Returns ``(scale, [(V, first index, coupon index)])`` in index order,
+    where ``V / scale`` is the pair's upper natural extension.  The
     combined gamble of pair (i, j) takes three values: ``b_i`` on the
     other outcomes, whose caps total ``R = T − m_i − m_j`` (``T`` the cap
     total), ``c = b_i·(b_j − a_j)/b_j`` on j (cap ``m_j``) and ``−a_i``
@@ -135,40 +138,75 @@ def coupon_values(
     :func:`~dutchbook.choquet.upper_natural_extension` gives, without
     building the gamble.  Pairs whose first stake exceeds the coupon cap
     are omitted.
+
+    Why the integers are exact.  Every cap is ``M_k/L`` with ``L`` the
+    lcm of the cap denominators, every rate ``(b_k − a_k)/b_k`` is
+    ``Q_k/B`` and every odds component is an integer over ``D``, the
+    lcm of the components' denominators (1 for quoted odds).  Then
+    ``R·L``, ``take·L = min((1 − R)·L, M_cap)``, ``b_i·D·B``,
+    ``c·D·B`` and ``−a_i·D·B`` are all integers, so every term of the
+    fill times ``scale = L·D·B`` is an integer too, and ``R ≥ 1`` reads
+    ``R·L ≥ L``.  The scale is positive, so ``(V, i, j)`` tuples sort
+    exactly as the ``(value, i, j)`` tuples of the rationals do, ties
+    and their index order included.
     """
     verdict = check_asl_single(table)
     if not verdict.avoids:
         raise BaseOddsSureLossError(verdict.total)
-    total = verdict.total
-    caps = [o.upper_mass for o in table.odds]
-    rates = [(o.denominator - o.numerator) / o.denominator for o in table.odds]
+    odds = table.odds
+    caps = [o.upper_mass for o in odds]
+    rates = [(o.denominator - o.numerator) / o.denominator for o in odds]
+    cap_scale = lcm(*(m.denominator for m in caps))
+    rate_scale = lcm(*(r.denominator for r in rates))
+    odds_scale = lcm(
+        *(q.denominator for o in odds for q in (o.numerator, o.denominator))
+    )
+    masses = [m.numerator * (cap_scale // m.denominator) for m in caps]
+    slopes = [r.numerator * (rate_scale // r.denominator) for r in rates]
+    total = sum(masses)
     cap_value = rules.max_coupon_value
     values = []
-    for i, first in enumerate(table.odds):
-        stake = first.denominator
+    for i, first in enumerate(odds):
+        stake, win = first.denominator, first.numerator
         if cap_value is not None and stake > cap_value:
             continue
-        loss = -first.numerator
-        m_i = caps[i]
+        stake_d = stake.numerator * (odds_scale // stake.denominator)
+        loss = -win.numerator * (odds_scale // win.denominator) * rate_scale
+        kept = stake_d * rate_scale
+        whole = kept * cap_scale
+        m_i = masses[i]
         outside_i = total - m_i
-        for j, (m_j, rate) in enumerate(zip(caps, rates)):
+        for j, (m_j, slope) in enumerate(zip(masses, slopes)):
             if j == i:
                 continue
             rest = outside_i - m_j
-            if rest >= 1:
-                values.append((stake, i, j))
+            if rest >= cap_scale:
+                values.append((whole, i, j))
                 continue
-            coupon = stake * rate
-            left = 1 - rest
+            coupon = stake_d * slope
+            left = cap_scale - rest
             if coupon >= loss:
                 high, high_cap, low = coupon, m_j, loss
             else:
                 high, high_cap, low = loss, m_i, coupon
             take = min(left, high_cap)
-            values.append(
-                (stake * rest + high * take + low * (left - take), i, j)
-            )
-    return values
+            value = kept * rest + high * take + low * (left - take)
+            values.append((value, i, j))
+    return cap_scale * odds_scale * rate_scale, values
+
+
+def coupon_values(
+    table: OddsTable, rules: CouponRules = DEFAULT_RULES
+) -> list[tuple[Rational, int, int]]:
+    """Upper natural extension of every admissible pair's combined gamble.
+
+    Returns ``[(value, first index, coupon index)]`` in index order: the
+    integer sweep of :func:`scaled_coupon_values`, each value divided by
+    its scale.  Pairs whose first stake exceeds the coupon cap are
+    omitted.
+    """
+    scale, values = scaled_coupon_values(table, rules)
+    return [(Fraction(v, scale), i, j) for v, i, j in values]
 
 
 def enumerate_coupons(
@@ -180,10 +218,14 @@ def enumerate_coupons(
     ascending (best customer gain first), ties by outcome index pair.
     Pairs whose first stake exceeds the coupon cap are omitted.
     """
+    scale, values = scaled_coupon_values(table, rules)
     space = table.space
     return [
-        (first_free_gamble(table, space[i], space[j], rules), value)
-        for value, i, j in sorted(coupon_values(table, rules))
+        (
+            first_free_gamble(table, space[i], space[j], rules),
+            Fraction(v, scale),
+        )
+        for v, i, j in sorted(values)
     ]
 
 

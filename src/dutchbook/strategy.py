@@ -21,9 +21,9 @@ from .coupons import (
     DEFAULT_RULES,
     CouponRules,
     FirstFreeGamble,
-    coupon_values,
     enumerate_coupons,  # noqa: F401  (bench/tracer.py wraps it here)
     first_free_gamble,
+    scaled_coupon_values,
 )
 from .errors import (
     BaseOddsSureLossError,
@@ -300,12 +300,15 @@ def best_strategy(
 ) -> StrategyReport | None:
     """Best certified coupon strategy, or None when no coupon is exploitable.
 
-    Prices every admissible (first, coupon) pair in closed form
-    (:func:`~dutchbook.coupons.coupon_values`) and keeps the one with the
-    most negative value; ties fall to the lexicographically first pair.
+    Prices every admissible (first, coupon) pair on exact integers
+    (:func:`~dutchbook.coupons.scaled_coupon_values`; the common scale is
+    positive, so the order is that of the rational prices) and keeps the
+    one with the most negative value; ties fall to the lexicographically
+    first pair.  Only that pair's gamble is built, and its strategy
+    passes :func:`certificate_failures` in rationals like any other.
     The base odds must avoid sure loss.
     """
-    values = coupon_values(table, rules)
+    _, values = scaled_coupon_values(table, rules)
     if not values:
         return None
     value, first, coupon = min(values)

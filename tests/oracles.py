@@ -11,7 +11,13 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 
-from dutchbook import SureLossError, decompose, upper_event
+from dutchbook import (
+    BaseOddsSureLossError,
+    SureLossError,
+    check_asl_single,
+    decompose,
+    upper_event,
+)
 
 
 def solve_exact(rows, rhs):
@@ -168,3 +174,43 @@ def certificate_failures_by_expansion(table, gamble, report):
             f"dual objective {objective} differs from alpha {report.alpha}"
         )
     return failures
+
+
+def coupon_values_by_fractions(table, rules):
+    """Reference for ``coupons.scaled_coupon_values``: the same three-step
+    fill per (first, coupon) pair, in ``Fraction`` arithmetic on the caps
+    and rates themselves.  Returns ``[(value, i, j)]`` in index order,
+    without the pairs whose first stake exceeds the coupon cap."""
+    verdict = check_asl_single(table)
+    if not verdict.avoids:
+        raise BaseOddsSureLossError(verdict.total)
+    total = verdict.total
+    caps = [o.upper_mass for o in table.odds]
+    rates = [(o.denominator - o.numerator) / o.denominator for o in table.odds]
+    cap_value = rules.max_coupon_value
+    values = []
+    for i, first in enumerate(table.odds):
+        stake = first.denominator
+        if cap_value is not None and stake > cap_value:
+            continue
+        loss = -first.numerator
+        m_i = caps[i]
+        outside_i = total - m_i
+        for j, (m_j, rate) in enumerate(zip(caps, rates)):
+            if j == i:
+                continue
+            rest = outside_i - m_j
+            if rest >= 1:
+                values.append((stake, i, j))
+                continue
+            coupon = stake * rate
+            left = 1 - rest
+            if coupon >= loss:
+                high, high_cap, low = coupon, m_j, loss
+            else:
+                high, high_cap, low = loss, m_i, coupon
+            take = min(left, high_cap)
+            values.append(
+                (stake * rest + high * take + low * (left - take), i, j)
+            )
+    return values

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from dutchbook import CertificateError
 from dutchbook.cli import main
 
@@ -150,6 +152,22 @@ class TestFindCouponArbitrage:
         assert report["pair_count"] == 2
         assert len(report["excluded_pairs"]) == 4
         assert report["rules"]["max_coupon_value"] == "9/2"
+
+    @pytest.mark.parametrize("cap", ["1/0", "abc", "0", "2/"])
+    def test_bad_coupon_cap_names_the_flag(self, capsys, cap):
+        code, out, err = run(
+            capsys,
+            "find-coupon-arbitrage",
+            "euro2016.csv",
+            "--bookmaker",
+            "Bet2",
+            "--max-coupon",
+            cap,
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --max-coupon ")
+        assert repr(cap) in err
 
     def test_table_format_lists_stakes(self, capsys):
         code, out, _ = run(

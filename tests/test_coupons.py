@@ -13,7 +13,12 @@ from dutchbook import (
     upper_natural_extension,
     upper_pmf_from_odds,
 )
-from dutchbook.coupons import capped_out_pairs, coupon_values
+from dutchbook.coupons import (
+    capped_out_pairs,
+    coupon_values,
+    scaled_coupon_values,
+)
+from oracles import coupon_values_by_fractions
 
 # independently recomputed by vertex enumeration over the dual polytope
 FOREST_PAIR_VALUES = {
@@ -160,6 +165,14 @@ class TestEnumerateCoupons:
         for value, i, j in values:
             ffg = first_free_gamble(bet2, space[i], space[j])
             assert value == upper_natural_extension(pmf, ffg.gamble)
+
+    def test_integer_sweep_matches_the_fractions_on_every_euro_book(
+        self, euro_market
+    ):
+        for table in euro_market.tables:
+            scale, values = scaled_coupon_values(table)
+            expected = coupon_values_by_fractions(table, CouponRules())
+            assert [(Fraction(v, scale), i, j) for v, i, j in values] == expected
 
     def test_ties_break_lexicographically(self, table_of):
         table = table_of({"A": "1/2", "B": "1/2"})

@@ -40,11 +40,12 @@ from dutchbook import (
     upper_pmf_from_odds,
     verify_certificate,
 )
-from dutchbook.coupons import coupon_values
+from dutchbook.coupons import coupon_values, scaled_coupon_values
 from oracles import (
     certificate_failures_by_expansion,
     choquet_by_levels,
     combined_payoffs,
+    coupon_values_by_fractions,
     pmf_exists_for,
     solve_exact,
     upper_extension_vertices,
@@ -108,6 +109,38 @@ def odds_tables(draw, min_size=2, max_size=5):
 @st.composite
 def solvent_tables(draw, min_size=2, max_size=5):
     table = draw(odds_tables(min_size, max_size))
+    assume(check_asl_single(table).avoids)
+    return table
+
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+# coupon caps that are not whole stakes
+coupon_caps = st.none() | st.fractions(
+    min_value=Fraction(1, 4), max_value=8, max_denominator=7
+).filter(lambda q: q.denominator > 1)
+
+
+@st.composite
+def sweep_tables(draw, max_size=7):
+    """Solvent books for the integer sweep.  Either drawn odds with
+    rational components, or caps whose denominators are distinct primes
+    (so the common cap denominator is their product); then each quote is,
+    half the time, rescaled by a random rational."""
+    n = draw(st.integers(2, max_size))
+    if draw(st.booleans()):
+        primes = draw(st.permutations(PRIMES))[:n]
+        caps = [Fraction(draw(st.integers(1, p - 1)), p) for p in primes]
+        odds = [FractionalOdds(1 / m - 1, 1) for m in caps]
+    else:
+        odds = [
+            FractionalOdds(draw(odds_numerators), draw(odds_denominators))
+            for _ in range(n)
+        ]
+    odds = [
+        scale_odds(o, draw(positive_factors)) if draw(st.booleans()) else o
+        for o in odds
+    ]
+    table = OddsTable("Book", _space(n), tuple(odds))
     assume(check_asl_single(table).avoids)
     return table
 
@@ -422,6 +455,46 @@ class TestCouponProperties:
                 assert report.guaranteed_gain == -value
             else:
                 assert report.guaranteed_gain == 0
+
+
+class TestIntegerSweep:
+    @settings(max_examples=200)
+    @given(table=sweep_tables(), cap=coupon_caps)
+    @example(table=_table("2/1", "2/1", "2/1", "2/1"), cap=None)  # all tie
+    @example(  # every a+b a distinct prime
+        table=_table("2/1", "3/2", "4/3", "5/6", "6/7"), cap=Fraction(13, 2)
+    )
+    def test_integer_sweep_equals_the_fraction_sweep(self, table, cap):
+        rules = CouponRules(max_coupon_value=cap)
+        expected = coupon_values_by_fractions(table, rules)
+        scale, values = scaled_coupon_values(table, rules)
+        assert scale > 0
+        assert all(type(v) is int for v, _, _ in values)
+        assert [(Fraction(v, scale), i, j) for v, i, j in values] == expected
+        assert coupon_values(table, rules) == expected
+        # the integers sort like the rationals, ties and their order included
+        assert [(i, j) for _, i, j in sorted(values)] == [
+            (i, j) for _, i, j in sorted(expected)
+        ]
+
+    @settings(max_examples=100)
+    @given(table=sweep_tables(max_size=6), cap=coupon_caps)
+    @example(table=_table("2/1", "2/1", "2/1", "2/1"), cap=None)
+    @example(table=_table("2/1", "3/2", "4/3", "5/6", "6/7"), cap=None)
+    def test_best_strategy_takes_the_oracle_minimum(self, table, cap):
+        rules = CouponRules(max_coupon_value=cap)
+        expected = coupon_values_by_fractions(table, rules)
+        report = best_strategy(table, rules)
+        if not expected or min(expected)[0] >= 0:
+            assert report is None
+            return
+        value, i, j = min(expected)
+        assert (report.first_outcome.index, report.coupon_outcome.index) == (
+            i,
+            j,
+        )
+        assert report.alpha == value
+        assert report.guaranteed_gain == -value
 
 
 class TestStrategyProperties:
