@@ -8,7 +8,9 @@ until the mass reaches 1.  The level-set decomposition, which slices the
 gamble into nested sets and prices each slice by capped summation, gives
 the same number and is kept for reports.  Both are only valid while the
 caps total at least 1; below that the bounds themselves are exploitable
-and :class:`~dutchbook.errors.SureLossError` is raised.
+and :class:`~dutchbook.errors.SureLossError` is raised.  The filled
+distribution is also the optimal dual that :mod:`dutchbook.strategy`
+derives stakes from.
 """
 
 from __future__ import annotations
@@ -29,8 +31,6 @@ if TYPE_CHECKING:
     from typing import Iterable, Union
 
     EventLike = Iterable[Union[Outcome, int]]
-
-_payoff = operator.itemgetter(0)
 
 
 @dataclass(frozen=True)
@@ -176,40 +176,79 @@ def lower_event(pmf: UpperPMF, event: EventLike) -> Rational:
     return max(Fraction(0), 1 - outside)
 
 
-def _require_asl(pmf: UpperPMF) -> None:
-    total = pmf.total()
-    if total < 1:
-        raise SureLossError(total)
+@dataclass(frozen=True, slots=True)
+class DualSolution:
+    """Greedy optimal distribution for pricing a gamble under mass caps.
+
+    ``ordering`` lists outcome indices from highest gamble payoff to
+    lowest (ties by index).  ``p`` is in space order: the cap itself for
+    ordered positions before ``k``, the leftover mass at position ``k``,
+    zero after.  ``k_prime`` is the last ordered position still at its
+    cap; stakes beyond it are forced to zero by complementary slackness.
+    Both ``k`` and ``k_prime`` are 1-based positions into ``ordering``.
+    ``value`` is the distribution's expectation of the priced gamble,
+    its upper natural extension.
+    """
+
+    ordering: tuple[int, ...]
+    p: tuple[Rational, ...]
+    k: int
+    k_prime: int
+    value: Rational
+
+    def expectation(self, gamble: Gamble) -> Rational:
+        return sum(
+            (w * v for w, v in zip(self.p, gamble.payoffs)), Fraction(0)
+        )
+
+
+def construct_dual(pmf: UpperPMF, gamble: Gamble) -> DualSolution:
+    """Fill probability mass greedily onto the highest payoffs, up to the caps.
+
+    Walk the outcomes from highest payoff down (a stable sort, so ties
+    keep index order and each outcome's narrowest level set contains
+    every earlier outcome's), giving each its full cap while the mass
+    left to place exceeds it; the outcome where the mass runs out
+    (position ``k``) gets the rest and later outcomes get zero.  This
+    distribution attains the Choquet integral, base plus each level-set
+    slice weight times the slice's upper event probability, in
+    O(n log n).  Requires the caps to total at least 1.
+    """
+    if gamble.space != pmf.space:
+        raise ValueError("gamble and pmf are over different outcome spaces")
+    if not pmf.avoids_sure_loss:
+        raise SureLossError(pmf.total())
+    payoffs = gamble.payoffs
+    ordering = tuple(
+        sorted(range(len(payoffs)), key=payoffs.__getitem__, reverse=True)
+    )
+    p = [Fraction(0)] * len(payoffs)
+    value = Fraction(0)
+    left = Fraction(1)
+    for k, index in enumerate(ordering, start=1):
+        cap = pmf.masses[index]
+        if cap >= left:  # caps total at least 1, so this is always reached
+            break
+        p[index] = cap
+        value += cap * payoffs[index]
+        left -= cap
+    p[index] = left
+    k_prime = k if left == cap else k - 1
+    return DualSolution(
+        ordering, tuple(p), k, k_prime, value + left * payoffs[index]
+    )
 
 
 def upper_natural_extension(pmf: UpperPMF, gamble: Gamble) -> Rational:
-    """Least selling price for ``gamble`` consistent with the caps.
-
-    The Choquet integral as a greedy fill: walk the payoffs from highest
-    down, giving each outcome its full cap while the mass left to place
-    exceeds it, and the rest of the mass to the outcome where it runs
-    out.  This equals base plus each level-set slice weight times the
-    slice's upper event probability, in O(n log n).  Requires the caps
-    to total at least 1.
+    """Least selling price for ``gamble`` consistent with the caps: the
+    value of the greedy dual, :func:`construct_dual`.
 
     >>> space = OutcomeSpace.from_labels(["W", "D", "L"])
     >>> pmf = UpperPMF(space, (Fraction(4, 7), Fraction(5, 18), Fraction(5, 21)))
     >>> upper_natural_extension(pmf, Gamble(space, (5, -13, -11)))
     Fraction(-47, 21)
     """
-    if gamble.space != pmf.space:
-        raise ValueError("gamble and pmf are over different outcome spaces")
-    _require_asl(pmf)
-    value = Fraction(0)
-    left = Fraction(1)
-    for payoff, cap in sorted(
-        zip(gamble.payoffs, pmf.masses), key=_payoff, reverse=True
-    ):
-        if cap >= left:  # caps total at least 1, so this is always reached
-            break
-        value += cap * payoff
-        left -= cap
-    return value + left * payoff
+    return construct_dual(pmf, gamble).value
 
 
 def lower_natural_extension(pmf: UpperPMF, gamble: Gamble) -> Rational:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 from pathlib import Path
@@ -42,7 +43,6 @@ from .model import (
     Gamble,
     Market,
     OddsTable,
-    as_rational,
     format_decimal,
     format_rational,
 )
@@ -59,6 +59,11 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_SURE_LOSS = 2
 EXIT_CERTIFICATE = 3
+
+
+# the odds cells' ASCII 'a/b'-or-integer grammar plus a sign: Fraction's own
+# grammar reads exponents, and 1e400000 alone builds a 1.3-Mbit integer
+_NUMBER_TEXT = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 class _UsageError(Exception):
@@ -171,15 +176,24 @@ def _cmd_check_asl(args) -> dict:
     return report
 
 
+def _flag_number(flag: str, text: str, expected: str, positive: bool) -> Fraction:
+    match = _NUMBER_TEXT.fullmatch(text.strip())
+    try:
+        if match is None:
+            raise ValueError(text)
+        value = Fraction(int(match[1]), int(match[2] or 1))
+        if positive and value <= 0:
+            raise ValueError(text)
+    except (ValueError, ZeroDivisionError):  # int() caps its digits too
+        raise DataError(f"{flag} must be {expected}, got {text!r}") from None
+    return value
+
+
 def _coupon_rules(text: str | None) -> CouponRules:
     if not text:
         return CouponRules()
-    try:
-        return CouponRules(max_coupon_value=as_rational(text))
-    except (ValueError, ZeroDivisionError):
-        raise DataError(
-            f"--max-coupon must be a positive 'a/b' or integer, got {text!r}"
-        ) from None
+    expected = "a positive 'a/b' or integer"
+    return CouponRules(_flag_number("--max-coupon", text, expected, True))
 
 
 def _cmd_find_coupon_arbitrage(args) -> dict:
@@ -238,10 +252,8 @@ def _cmd_natural_extension(args) -> dict:
             f"gamble has {len(pieces)} values for {len(market.space)} "
             f"outcomes ({', '.join(market.space.labels)})"
         )
-    try:
-        values = tuple(as_rational(p) for p in pieces)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise DataError(f"bad gamble value: {exc}") from None
+    expected = "comma-separated 'a/b' or integers, each optionally negative"
+    values = tuple(_flag_number("--gamble", p, expected, False) for p in pieces)
     gamble = Gamble(market.space, values)
     pmf = upper_pmf_from_odds(table)
     upper = upper_natural_extension(pmf, gamble)
@@ -447,13 +459,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -469,16 +474,24 @@ def main(argv=None) -> int:
     except CertificateError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_CERTIFICATE
-    except (DataError, CouponRuleError, KeyError, ValueError) as exc:
+    except (DataError, CouponRuleError, KeyError, ValueError, OSError) as exc:
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
         print(f"error: {message}", file=sys.stderr)
         return EXIT_USAGE
     if isinstance(result, str):
-        _emit(result, args.out)
+        text = result
     elif args.format == "table":
-        _emit(_render_table(result), args.out)
+        text = _render_table(result)
     else:
-        _emit(json.dumps(result, indent=2) + "\n", args.out)
+        text = json.dumps(result, indent=2) + "\n"
+    try:
+        if args.out:
+            Path(args.out).write_text(text, encoding="utf-8")
+        else:
+            sys.stdout.write(text)
+    except OSError as exc:  # --out names a directory, or one that is missing
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     return EXIT_OK
 
 

@@ -195,20 +195,6 @@ def scaled_coupon_values(
     return cap_scale * odds_scale * rate_scale, values
 
 
-def coupon_values(
-    table: OddsTable, rules: CouponRules = DEFAULT_RULES
-) -> list[tuple[Rational, int, int]]:
-    """Upper natural extension of every admissible pair's combined gamble.
-
-    Returns ``[(value, first index, coupon index)]`` in index order: the
-    integer sweep of :func:`scaled_coupon_values`, each value divided by
-    its scale.  Pairs whose first stake exceeds the coupon cap are
-    omitted.
-    """
-    scale, values = scaled_coupon_values(table, rules)
-    return [(Fraction(v, scale), i, j) for v, i, j in values]
-
-
 def enumerate_coupons(
     table: OddsTable, rules: CouponRules = DEFAULT_RULES
 ) -> list[tuple[FirstFreeGamble, Rational]]:

@@ -55,8 +55,10 @@ class CouponRuleError(DutchbookError, ValueError):
 class StakeSystemError(DutchbookError, RuntimeError):
     """The complementary-slackness stake system produced no verified stakes.
 
-    A dual built by ``construct_dual`` from the same table's caps for
-    the same gamble always yields stakes; this error signals a mismatch.
+    ``solve_stakes`` takes alpha as the dual's objective on the gamble it
+    is handed.  A dual that ``choquet.construct_dual`` built from the same
+    table's caps for that gamble always yields verified stakes; a dual
+    built for another gamble or other caps can raise this error.
     """
 
 

@@ -1,14 +1,15 @@
 """Optimal stake construction with exact strong-duality certificates.
 
 Pricing a gamble against upper probability caps is a linear program; its
-dual optimum is found greedily by pushing mass onto the highest payoffs
-first, capped per outcome.  Complementary slackness then pins down which
-stake variables can be non-zero and which payoff rows are tight; since
-every odds gamble is a constant plus one spike, the stakes follow in
-closed form, in exact rationals.  Every returned strategy carries both
-sides of the duality, so optimality is checkable without trusting any
-solver: a feasible distribution and a feasible stake vector with equal
-objectives certify each other.
+dual optimum is the greedy fill of :func:`~dutchbook.choquet.construct_dual`,
+which pushes mass onto the highest payoffs first, capped per outcome.
+Complementary slackness then pins down which stake variables can be
+non-zero and which payoff rows are tight; since every odds gamble is a
+constant plus one spike, the stakes follow in closed form, in exact
+rationals.  Every returned strategy carries both sides of the duality,
+so optimality is checkable without trusting any solver: a feasible
+distribution and a feasible stake vector with equal objectives certify
+each other.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
-from .choquet import UpperPMF
+from .choquet import DualSolution, construct_dual
 from .coupons import (
     DEFAULT_RULES,
     CouponRules,
@@ -25,38 +26,9 @@ from .coupons import (
     first_free_gamble,
     scaled_coupon_values,
 )
-from .errors import (
-    BaseOddsSureLossError,
-    CertificateError,
-    StakeSystemError,
-    SureLossError,
-)
+from .errors import BaseOddsSureLossError, CertificateError, StakeSystemError
 from .model import Gamble, OddsTable, Outcome, Rational
 from .sureloss import check_asl_single, upper_pmf_from_odds
-
-
-@dataclass(frozen=True, slots=True)
-class DualSolution:
-    """Greedy optimal distribution for pricing a gamble under mass caps.
-
-    ``ordering`` lists outcome indices from highest gamble payoff to
-    lowest (ties by index).  ``p`` is in space order: the cap itself for
-    ordered positions before ``k``, the leftover mass at position ``k``,
-    zero after.  ``k_prime`` is the last ordered position still at its
-    cap; stakes beyond it are forced to zero by complementary slackness.
-    Both ``k`` and ``k_prime`` are 1-based positions into ``ordering``.
-    """
-
-    pmf: UpperPMF
-    ordering: tuple[int, ...]
-    p: tuple[Rational, ...]
-    k: int
-    k_prime: int
-
-    def expectation(self, gamble: Gamble) -> Rational:
-        return sum(
-            (w * v for w, v in zip(self.p, gamble.payoffs)), Fraction(0)
-        )
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,48 +49,6 @@ class StrategyReport:
     stakes: tuple[Rational, ...]
     guaranteed_gain: Rational
     certificate: DualSolution
-
-
-def order_outcomes(gamble: Gamble) -> tuple[int, ...]:
-    """Outcome indices sorted by payoff, highest first, ties by index.
-
-    Under this order each outcome's narrowest level set contains every
-    earlier outcome's, which is what the greedy mass filling needs.
-    """
-    return tuple(
-        sorted(range(len(gamble.space)), key=lambda i: (-gamble.payoffs[i], i))
-    )
-
-
-def construct_dual(pmf: UpperPMF, gamble: Gamble) -> DualSolution:
-    """Fill probability mass greedily onto the highest payoffs, up to the caps.
-
-    Walk the outcomes from highest payoff down, assigning each its full
-    cap until total mass 1 is reached; the outcome that tops the budget
-    up (position ``k``) gets the remainder and later outcomes get zero.
-    The resulting distribution attains the upper natural extension of the
-    gamble exactly.
-    """
-    if gamble.space != pmf.space:
-        raise ValueError("gamble and pmf are over different outcome spaces")
-    total = pmf.total()
-    if total < 1:
-        raise SureLossError(total)
-    ordering = order_outcomes(gamble)
-    p = [Fraction(0)] * len(pmf.space)
-    filled = Fraction(0)
-    k = len(ordering)
-    for position, index in enumerate(ordering, start=1):
-        cap = pmf.masses[index]
-        if filled + cap >= 1:
-            p[index] = 1 - filled
-            k = position
-            break
-        p[index] = cap
-        filled += cap
-    k_index = ordering[k - 1]
-    k_prime = k if p[k_index] == pmf.masses[k_index] else k - 1
-    return DualSolution(pmf, ordering, tuple(p), k, k_prime)
 
 
 def solve_stakes(

@@ -1,9 +1,17 @@
+import csv
 import json
+from io import StringIO
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dutchbook import CertificateError
 from dutchbook.cli import main
+
+# values outside the flags' 'a/b'-or-integer grammar: exponents, decimals,
+# a plus sign, digit grouping, another script's digits and no digits at all
+BAD_NUMBERS = ["1/0", "abc", "2/", "1e9", "0.5", "+2", "1_0", "\u0663"]
 
 
 def run(capsys, *argv):
@@ -58,6 +66,13 @@ class TestCheckASL:
         code, _, err = run(capsys, "check-asl", "no_such_file.csv")
         assert code == 1
         assert "no_such_file.csv" in err
+
+    def test_directory_as_file_names_the_path(self, capsys, tmp_path):
+        code, out, err = run(capsys, "check-asl", str(tmp_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert str(tmp_path) in err
 
     def test_table_format(self, capsys):
         code, out, _ = run(
@@ -153,7 +168,7 @@ class TestFindCouponArbitrage:
         assert len(report["excluded_pairs"]) == 4
         assert report["rules"]["max_coupon_value"] == "9/2"
 
-    @pytest.mark.parametrize("cap", ["1/0", "abc", "0", "2/"])
+    @pytest.mark.parametrize("cap", [*BAD_NUMBERS, "0"])
     def test_bad_coupon_cap_names_the_flag(self, capsys, cap):
         code, out, err = run(
             capsys,
@@ -259,6 +274,22 @@ class TestNaturalExtension:
         assert code == 1
         assert "3 outcomes" in err
 
+    @pytest.mark.parametrize("value", BAD_NUMBERS)
+    def test_bad_gamble_value_names_the_flag(self, capsys, value):
+        code, out, err = run(
+            capsys,
+            "natural-extension",
+            "three_bookmakers.csv",
+            "--bookmaker",
+            "Forest",
+            "--gamble",
+            f"1,{value},-2",
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: --gamble ")
+        assert repr(value) in err
+
     def test_sure_loss_base_exits_2(self, capsys, tmp_path):
         odds = tmp_path / "loose.csv"
         odds.write_text(
@@ -316,3 +347,103 @@ class TestUsage:
         assert code == 0
         assert out == ""
         assert json.loads(target.read_text(encoding="utf-8"))["avoids_sure_loss"]
+
+    def test_out_into_a_missing_directory_names_the_path(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "report.json"
+        code, out, err = run(
+            capsys, "check-asl", "three_bookmakers.csv", "--out", str(target)
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert str(target) in err
+
+
+ODD_LABELS = ['"', "#x", " ", ""]
+GOOD_ODDS = ["2/1", "1/2", "5/4", "1/1", "3", "0", "11/10"]
+BAD_ODDS = ["1/0", "-1", "1e9", "x", ""]
+GOOD_NUMBERS = ["3", "9/2", "-47/21", "0", "-1"]
+COMMANDS = ["check-asl", "find-coupon-arbitrage", "natural-extension", "convert-odds"]
+
+# Hypothesis leans towards the first entries of a sampled list
+rarely = st.sampled_from([False] * 5 + [True])
+
+
+def _csv_line(row):
+    out = StringIO()
+    csv.writer(out, lineterminator="").writerow(row)
+    return out.getvalue()
+
+
+@st.composite
+def malformed_books(draw, wide):
+    """Bytes of a long (or, if ``wide``, a wide) three-outcome odds sheet
+    over bookmakers B and C, often broken: the other layout, another
+    outcome count, bad odds or odds of up to 6,000 digits, commas and
+    quotes in labels (written raw or through a CSV writer), a missing row,
+    a BOM, stray bytes, and CR, LF or CRLF line ends."""
+    good = st.sampled_from(GOOD_ODDS)
+    long_odds = st.integers(1, 6000).map(lambda n: "9" * n)
+    odds = st.one_of(good, good, good, st.sampled_from(BAD_ODDS), long_odds)
+    label = st.sampled_from(["W", "D", "L", "a,b", 'say "hi"'])
+    if draw(rarely):
+        label = st.sampled_from(ODD_LABELS) | st.text(max_size=4)
+    size = draw(st.integers(1, 4)) if draw(rarely) else 3
+    labels = draw(st.lists(label, min_size=size, max_size=size, unique=True))
+    books = draw(st.sampled_from([["B"], ["B", "C"], ["B", "B"], ["B", ""]]))
+    if wide == draw(rarely):
+        rows = [["outcome", "bookmaker", "odds"]]
+        rows += [[label, book, draw(odds)] for label in labels for book in books]
+    else:
+        rows = [["outcome", *books]]
+        rows += [[label, *(draw(odds) for _ in books)] for label in labels]
+    if draw(rarely):
+        del rows[draw(st.integers(0, len(rows) - 1))]
+    join = draw(st.sampled_from([_csv_line, ",".join]))
+    end = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = end.join(join(row) for row in rows) + end
+    prefix = draw(st.sampled_from([b"\xef\xbb\xbf", b"\xff"])) if draw(rarely) else b""
+    return prefix + text.encode("utf-8")
+
+
+@st.composite
+def command_lines(draw, command, path, out_dir):
+    """``command`` on ``path`` with good and bad flag values, writing to
+    standard output, to a file, to a directory or into a missing one."""
+    bad = st.sampled_from([*BAD_NUMBERS, "1e400000", "9" * 5000])
+    number = st.sampled_from(GOOD_NUMBERS) | bad
+    argv = [command, path]
+    if command != "convert-odds":
+        argv += ["--bookmaker", draw(st.sampled_from(["B", "C", "Z"]))]
+        argv += draw(st.sampled_from([[], ["--format", "table"]]))
+    if command == "check-asl" and draw(st.booleans()):
+        del argv[2:4]  # the whole market
+    elif command == "find-coupon-arbitrage":
+        argv += draw(st.sampled_from([[], ["--all"]]))
+        if draw(st.booleans()):
+            argv.append(f"--max-coupon={draw(number)}")
+    elif command == "natural-extension":
+        size = draw(st.integers(1, 4)) if draw(rarely) else 3
+        values = draw(st.lists(number, min_size=size, max_size=size))
+        argv.append("--gamble=" + ",".join(values))
+    target = draw(st.sampled_from([None, out_dir / "r", out_dir, out_dir / "no" / "r"]))
+    if target is not None:
+        argv += ["--out", str(target)]
+    return argv
+
+
+@settings(
+    max_examples=400,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_malformed_input_exits_cleanly(capsys, tmp_path, data):
+    command = data.draw(st.sampled_from(COMMANDS))
+    path = tmp_path / "book.csv"
+    path.write_bytes(data.draw(malformed_books(command == "convert-odds")))
+    code = main(data.draw(command_lines(command, str(path), tmp_path)))
+    err = capsys.readouterr().err
+    assert code in (0, 1, 2)
+    if code:
+        assert "error:" in err

@@ -15,7 +15,6 @@ from dutchbook import (
 )
 from dutchbook.coupons import (
     capped_out_pairs,
-    coupon_values,
     scaled_coupon_values,
 )
 from oracles import coupon_values_by_fractions
@@ -158,13 +157,15 @@ class TestEnumerateCoupons:
     def test_closed_form_matches_choquet_price_on_every_bet2_pair(self, bet2):
         pmf = upper_pmf_from_odds(bet2)
         space = bet2.space
-        values = coupon_values(bet2)
+        scale, values = scaled_coupon_values(bet2)
         assert [(i, j) for _, i, j in values] == [
             (i, j) for i in range(24) for j in range(24) if i != j
         ]
         for value, i, j in values:
             ffg = first_free_gamble(bet2, space[i], space[j])
-            assert value == upper_natural_extension(pmf, ffg.gamble)
+            assert Fraction(value, scale) == upper_natural_extension(
+                pmf, ffg.gamble
+            )
 
     def test_integer_sweep_matches_the_fractions_on_every_euro_book(
         self, euro_market

@@ -31,7 +31,6 @@ from dutchbook import (
     indicator,
     lower_event,
     lower_natural_extension,
-    order_outcomes,
     scale_odds,
     solve_stakes,
     strategy_for_coupon,
@@ -40,7 +39,7 @@ from dutchbook import (
     upper_pmf_from_odds,
     verify_certificate,
 )
-from dutchbook.coupons import coupon_values, scaled_coupon_values
+from dutchbook.coupons import scaled_coupon_values
 from oracles import (
     certificate_failures_by_expansion,
     choquet_by_levels,
@@ -153,7 +152,8 @@ def stake_systems(draw, max_size=6):
     gamble = draw(gambles(2, max_size))
     n = len(gamble.space)
     if draw(st.booleans()):
-        lead = order_outcomes(gamble)[: draw(st.integers(1, n))]
+        unit = UpperPMF(gamble.space, (1,) * n)  # the order ignores the caps
+        lead = construct_dual(unit, gamble).ordering[: draw(st.integers(1, n))]
         weights = [draw(st.integers(1, 6)) for _ in lead]
         caps = [draw(st.fractions(0, 1, max_denominator=9)) for _ in range(n)]
         for w, weight in zip(lead, weights):
@@ -266,11 +266,17 @@ class TestChoquetProperties:
     def test_greedy_dual_attains_choquet_value(self, pair):
         pmf, gamble = pair
         dual = construct_dual(pmf, gamble)
+        payoffs = gamble.payoffs
+        assert dual.ordering == tuple(
+            sorted(range(len(payoffs)), key=lambda i: (-payoffs[i], i))
+        )
         assert sum(dual.p, Fraction(0)) == 1
         assert all(
             0 <= p <= m for p, m in zip(dual.p, pmf.masses)
         )
-        assert dual.expectation(gamble) == upper_natural_extension(pmf, gamble)
+        assert dual.value == dual.expectation(gamble)
+        assert dual.value == choquet_by_levels(pmf, gamble)
+        assert upper_natural_extension(pmf, gamble) == dual.value
 
     @settings(max_examples=60)
     @given(pair=pmf_gamble_pairs(max_size=5))
@@ -427,8 +433,10 @@ class TestCouponProperties:
             for coupon in table.space
             if coupon != first
         ]
-        rules = CouponRules(max_coupon_value=cap)
-        assert coupon_values(table, rules) == expected
+        scale, values = scaled_coupon_values(
+            table, CouponRules(max_coupon_value=cap)
+        )
+        assert [(Fraction(v, scale), i, j) for v, i, j in values] == expected
 
     @settings(max_examples=60)
     @given(table=solvent_tables())
@@ -471,7 +479,6 @@ class TestIntegerSweep:
         assert scale > 0
         assert all(type(v) is int for v, _, _ in values)
         assert [(Fraction(v, scale), i, j) for v, i, j in values] == expected
-        assert coupon_values(table, rules) == expected
         # the integers sort like the rationals, ties and their order included
         assert [(i, j) for _, i, j in sorted(values)] == [
             (i, j) for _, i, j in sorted(expected)
@@ -498,9 +505,10 @@ class TestIntegerSweep:
 
 
 class TestStrategyProperties:
-    @given(gamble=gambles())
-    def test_ordering_is_lawful(self, gamble):
-        ordering = order_outcomes(gamble)
+    @given(pair=pmf_gamble_pairs())
+    def test_ordering_is_lawful(self, pair):
+        pmf, gamble = pair
+        ordering = construct_dual(pmf, gamble).ordering
         assert sorted(ordering) == list(range(len(gamble.space)))
         payoffs = gamble.payoffs
         narrowest = [

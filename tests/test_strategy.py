@@ -14,33 +14,38 @@ from dutchbook import (
     certificate_failures,
     construct_dual,
     first_free_gamble,
-    order_outcomes,
     solve_stakes,
     strategy_for_coupon,
     upper_natural_extension,
     upper_pmf_from_odds,
     verify_certificate,
 )
-from oracles import combined_payoffs
+from oracles import choquet_by_levels, combined_payoffs
 
 WDL = OutcomeSpace.from_labels(["W", "D", "L"])
 G_DL = Gamble(WDL, (5, -13, -11))
 
 
+def order_of(gamble):
+    """The greedy dual's ordering, which the caps do not affect."""
+    unit = UpperPMF(gamble.space, (1,) * len(gamble.space))
+    return construct_dual(unit, gamble).ordering
+
+
 class TestOrderOutcomes:
     def test_coupon_combination_order(self):
         # highest payoff first: W (5), then L (-11), then D (-13)
-        assert order_outcomes(G_DL) == (0, 2, 1)
+        assert order_of(G_DL) == (0, 2, 1)
 
     def test_constant_gamble_keeps_index_order(self):
-        assert order_outcomes(Gamble.constant(WDL, 3)) == (0, 1, 2)
+        assert order_of(Gamble.constant(WDL, 3)) == (0, 1, 2)
 
     def test_wide_field_order(self, bet2):
         space = bet2.space
         ffg = first_free_gamble(
             bet2, space.outcome("France"), space.outcome("Spain")
         )
-        ordering = order_outcomes(ffg.gamble)
+        ordering = construct_dual(upper_pmf_from_odds(bet2), ffg.gamble).ordering
         labels = [space[i].label for i in ordering]
         assert labels[0] == "Germany"
         assert labels[1] == "England"
@@ -53,7 +58,7 @@ class TestOrderOutcomes:
     def test_order_nests_level_sets(self):
         for payoffs in [(5, -13, -11), (1, 1, 0), (2, 2, 2), (-1, 3, 0)]:
             gamble = Gamble(WDL, payoffs)
-            ordering = order_outcomes(gamble)
+            ordering = order_of(gamble)
             sets = [
                 {w for w in range(3) if gamble.payoffs[w] >= gamble.payoffs[i]}
                 for i in ordering
@@ -99,7 +104,9 @@ class TestConstructDual:
         for payoffs in [(5, -13, -11), (0, 1, -1), (3, 3, 3), (-2, 5, 0)]:
             gamble = Gamble(WDL, payoffs)
             dual = construct_dual(pmf, gamble)
-            assert dual.expectation(gamble) == upper_natural_extension(pmf, gamble)
+            assert dual.value == dual.expectation(gamble)
+            assert dual.value == choquet_by_levels(pmf, gamble)
+            assert upper_natural_extension(pmf, gamble) == dual.value
 
     def test_mass_total_boundary(self):
         pmf = UpperPMF(WDL, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
