@@ -11,6 +11,13 @@ caps total at least 1; below that the bounds themselves are exploitable
 and :class:`~dutchbook.errors.SureLossError` is raised.  The filled
 distribution is also the optimal dual that :mod:`dutchbook.strategy`
 derives stakes from.
+
+The fill runs on Python ints and stays exact.  Every cap is ``M_k/L``
+with ``L`` the lcm of the cap denominators, and every payoff is
+``P_k/D`` with ``D`` the lcm of the payoff denominators.  Both scales
+are positive, so the ints order the outcomes as the rationals do, ties
+included, and each step of the fill (a cap against the mass left, a
+cap times a payoff) is an integer over ``L`` or ``L·D``.
 """
 
 from __future__ import annotations
@@ -19,6 +26,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from math import lcm
 from typing import TYPE_CHECKING
 
 from .errors import SureLossError
@@ -64,6 +72,24 @@ class UpperPMF:
     def _total(self) -> Rational:
         # every verdict, price and dual reads the total; sum the caps once
         return sum(self.masses, Fraction(0))
+
+    @cached_property
+    def scaled_masses(self) -> tuple[int, tuple[int, ...]]:
+        """``(L, M)``: ``L`` the lcm of the cap denominators and ``M_k =
+        m_k·L`` the caps as ints over it, computed once per cap set."""
+        scale = lcm(*(m.denominator for m in self.masses))
+        return scale, tuple(
+            m.numerator * (scale // m.denominator) for m in self.masses
+        )
+
+    @cached_property
+    def witness(self) -> tuple[Rational, ...] | None:
+        """The distribution ``m_k / total`` when the caps avoid sure loss,
+        else None; it fits under every cap, so it certifies the verdict."""
+        total = self._total
+        if total < 1:
+            return None
+        return tuple(mass / total for mass in self.masses)
 
     @property
     def avoids_sure_loss(self) -> bool:
@@ -213,30 +239,42 @@ def construct_dual(pmf: UpperPMF, gamble: Gamble) -> DualSolution:
     distribution attains the Choquet integral, base plus each level-set
     slice weight times the slice's upper event probability, in
     O(n log n).  Requires the caps to total at least 1.
+
+    Why the integers are exact.  The caps are ``M_k/L``
+    (:attr:`UpperPMF.scaled_masses`) and the payoffs ``P_k/D``, with
+    ``D`` the lcm of the payoff denominators.  ``D`` is positive, so
+    sorting the ``P_k`` gives the rational order and its ties, and the
+    stable sort keeps the same ``ordering``.  The mass left starts at
+    ``L`` and drops by whole ``M_k``, so ``cap >= left`` and ``left ==
+    cap`` read exactly as in rationals, the leftover is ``left/L`` and
+    the price, a sum of ``M_k·P_k`` terms, is an int over ``L·D``.
     """
     if gamble.space != pmf.space:
         raise ValueError("gamble and pmf are over different outcome spaces")
     if not pmf.avoids_sure_loss:
         raise SureLossError(pmf.total())
     payoffs = gamble.payoffs
+    payoff_scale = lcm(*(v.denominator for v in payoffs))
+    scaled = [v.numerator * (payoff_scale // v.denominator) for v in payoffs]
     ordering = tuple(
-        sorted(range(len(payoffs)), key=payoffs.__getitem__, reverse=True)
+        sorted(range(len(scaled)), key=scaled.__getitem__, reverse=True)
     )
-    p = [Fraction(0)] * len(payoffs)
-    value = Fraction(0)
-    left = Fraction(1)
+    masses = pmf.masses
+    cap_scale, caps = pmf.scaled_masses
+    p = [Fraction(0)] * len(scaled)
+    value = 0
+    left = cap_scale
     for k, index in enumerate(ordering, start=1):
-        cap = pmf.masses[index]
+        cap = caps[index]
         if cap >= left:  # caps total at least 1, so this is always reached
             break
-        p[index] = cap
-        value += cap * payoffs[index]
+        p[index] = masses[index]
+        value += cap * scaled[index]
         left -= cap
-    p[index] = left
+    p[index] = Fraction(left, cap_scale)
     k_prime = k if left == cap else k - 1
-    return DualSolution(
-        ordering, tuple(p), k, k_prime, value + left * payoffs[index]
-    )
+    value = Fraction(value + left * scaled[index], cap_scale * payoff_scale)
+    return DualSolution(ordering, tuple(p), k, k_prime, value)
 
 
 def upper_natural_extension(pmf: UpperPMF, gamble: Gamble) -> Rational:

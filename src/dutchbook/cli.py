@@ -86,7 +86,7 @@ def _dec(value) -> str:
 def _read_input(value: str) -> str:
     path = Path(value)
     if path.exists():
-        return path.read_text(encoding="utf-8")
+        return io.decode_csv(path.read_bytes(), value)
     try:
         return io.read_fixture(value)
     except DataError:

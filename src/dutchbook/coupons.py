@@ -140,7 +140,9 @@ def scaled_coupon_values(
     are omitted.
 
     Why the integers are exact.  Every cap is ``M_k/L`` with ``L`` the
-    lcm of the cap denominators, every rate ``(b_k − a_k)/b_k`` is
+    lcm of the cap denominators (the caps' cached
+    :attr:`~dutchbook.choquet.UpperPMF.scaled_masses`, which the greedy
+    fill reads too), every rate ``(b_k − a_k)/b_k`` is
     ``Q_k/B`` and every odds component is an integer over ``D``, the
     lcm of the components' denominators (1 for quoted odds).  Then
     ``R·L``, ``take·L = min((1 − R)·L, M_cap)``, ``b_i·D·B``,
@@ -154,14 +156,12 @@ def scaled_coupon_values(
     if not verdict.avoids:
         raise BaseOddsSureLossError(verdict.total)
     odds = table.odds
-    caps = [o.upper_mass for o in odds]
+    cap_scale, masses = upper_pmf_from_odds(table).scaled_masses
     rates = [(o.denominator - o.numerator) / o.denominator for o in odds]
-    cap_scale = lcm(*(m.denominator for m in caps))
     rate_scale = lcm(*(r.denominator for r in rates))
     odds_scale = lcm(
         *(q.denominator for o in odds for q in (o.numerator, o.denominator))
     )
-    masses = [m.numerator * (cap_scale // m.denominator) for m in caps]
     slopes = [r.numerator * (rate_scale // r.denominator) for r in rates]
     total = sum(masses)
     cap_value = rules.max_coupon_value

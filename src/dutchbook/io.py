@@ -169,9 +169,27 @@ def wide_to_long_csv(text: str) -> str:
     return market_to_csv(parse_wide_market_csv(text))
 
 
+def decode_csv(data: bytes, source: str) -> str:
+    """The text of an odds file, without the byte-order mark that
+    spreadsheet exports write.  Bytes that are not UTF-8 raise a
+    :class:`~dutchbook.errors.DataError` naming ``source`` and the line,
+    counted as the parser counts lines."""
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.object is the data after any byte-order mark, and it is
+        # valid UTF-8 up to exc.start
+        before = exc.object[: exc.start].decode("utf-8")
+        line = len((before + "x").splitlines())
+        raise DataError(
+            f"cannot read {source!r}: line {line} is not UTF-8 "
+            f"(byte 0x{exc.object[exc.start]:02x}: {exc.reason})"
+        ) from None
+
+
 def load_market(path: str | Path) -> Market:
     """Read a long-format odds CSV from disk."""
-    return parse_market_csv(Path(path).read_text(encoding="utf-8"))
+    return parse_market_csv(decode_csv(Path(path).read_bytes(), str(path)))
 
 
 def fixture_names() -> list[str]:
@@ -189,7 +207,7 @@ def read_fixture(name: str) -> str:
         raise DataError(
             f"no bundled odds file {name!r}; available: {fixture_names()}"
         )
-    return entry.read_text(encoding="utf-8")
+    return decode_csv(entry.read_bytes(), name)
 
 
 def load_fixture_market(name: str) -> Market:

@@ -59,11 +59,8 @@ def check_asl_single(table: OddsTable) -> ASLVerdict:
     distribution dominated by the masses, hence safe for every gamble.
     """
     pmf = upper_pmf_from_odds(table)
-    total = pmf.total()
-    if total < 1:
-        return ASLVerdict(table, False, total, None)
-    witness = tuple(mass / total for mass in pmf.masses)
-    return ASLVerdict(table, True, total, witness)
+    witness = pmf.witness  # built once per table, shared by every verdict
+    return ASLVerdict(table, witness is not None, pmf.total(), witness)
 
 
 def over_round(table: OddsTable) -> Rational:

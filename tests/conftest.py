@@ -1,6 +1,16 @@
+import os
+
 import pytest
+from hypothesis import settings
 
 from dutchbook import OddsTable, OutcomeSpace, load_fixture_market
+
+# on a shared CI runner a slow example would fail on Hypothesis's 200 ms
+# deadline, which says nothing about correctness; CI sets $CI, local runs
+# keep the defaults
+settings.register_profile("ci", deadline=None, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

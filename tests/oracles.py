@@ -13,6 +13,7 @@ from itertools import combinations
 
 from dutchbook import (
     BaseOddsSureLossError,
+    DualSolution,
     SureLossError,
     check_asl_single,
     decompose,
@@ -214,3 +215,32 @@ def coupon_values_by_fractions(table, rules):
                 (stake * rest + high * take + low * (left - take), i, j)
             )
     return values
+
+
+def dual_by_fractions(pmf, gamble):
+    """Reference for ``choquet.construct_dual``: the same stable sort and
+    greedy fill in ``Fraction`` arithmetic on the caps and payoffs
+    themselves, without the integer scale."""
+    if gamble.space != pmf.space:
+        raise ValueError("gamble and pmf are over different outcome spaces")
+    if pmf.total() < 1:
+        raise SureLossError(pmf.total())
+    payoffs = gamble.payoffs
+    ordering = tuple(
+        sorted(range(len(payoffs)), key=payoffs.__getitem__, reverse=True)
+    )
+    p = [Fraction(0)] * len(payoffs)
+    value = Fraction(0)
+    left = Fraction(1)
+    for k, index in enumerate(ordering, start=1):
+        cap = pmf.masses[index]
+        if cap >= left:
+            break
+        p[index] = cap
+        value += cap * payoffs[index]
+        left -= cap
+    p[index] = left
+    k_prime = k if left == cap else k - 1
+    return DualSolution(
+        ordering, tuple(p), k, k_prime, value + left * payoffs[index]
+    )

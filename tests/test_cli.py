@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from dutchbook import CertificateError
 from dutchbook.cli import main
+from dutchbook.io import read_fixture
 
 # values outside the flags' 'a/b'-or-integer grammar: exponents, decimals,
 # a plus sign, digit grouping, another script's digits and no digits at all
@@ -73,6 +74,35 @@ class TestCheckASL:
         assert out == ""
         assert err.startswith("error: ")
         assert str(tmp_path) in err
+
+    @pytest.mark.parametrize(
+        "command, fixture",
+        [("check-asl", "euro2016.csv"), ("convert-odds", "euro2016_wide.csv")],
+    )
+    def test_byte_order_mark_reads_as_the_plain_file(
+        self, capsys, tmp_path, command, fixture
+    ):
+        text = read_fixture(fixture).encode("utf-8")
+        target = tmp_path / "odds.csv"
+        reports = []
+        for data in (text, b"\xef\xbb\xbf" + text):
+            target.write_bytes(data)
+            code, out, err = run(capsys, command, str(target))
+            assert code == 0, err
+            reports.append(out)
+        assert reports[0] == reports[1]
+
+    def test_bytes_that_are_not_utf8_name_the_file_and_line(
+        self, capsys, tmp_path
+    ):
+        target = tmp_path / "odds.csv"
+        target.write_bytes(b"outcome,bookmaker,odds\r\nA,B,1/2\r\nB,B,1/\xff2\r\n")
+        code, out, err = run(capsys, "check-asl", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert str(target) in err
+        assert "line 3" in err
 
     def test_table_format(self, capsys):
         code, out, _ = run(

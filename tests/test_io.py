@@ -18,7 +18,7 @@ from dutchbook import (
     scale_odds,
     wide_to_long_csv,
 )
-from dutchbook.io import fixture_names, read_fixture
+from dutchbook.io import decode_csv, fixture_names, read_fixture
 
 SAMPLE = """\
 # comment line
@@ -203,6 +203,16 @@ class TestFixtures:
         target = tmp_path / "odds.csv"
         target.write_text(SAMPLE, encoding="utf-8")
         assert load_market(target) == parse_market_csv(SAMPLE)
+
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        bom = b"\xef\xbb\xbf"
+        target = tmp_path / "odds.csv"
+        target.write_bytes(bom + SAMPLE.encode("utf-8"))
+        assert load_market(target) == parse_market_csv(SAMPLE)
+        wide = read_fixture("euro2016_wide.csv")
+        assert parse_wide_market_csv(
+            decode_csv(bom + wide.encode("utf-8"), "wide.csv")
+        ) == parse_wide_market_csv(wide)
 
     def test_euro_dimensions(self, euro_market):
         assert len(euro_market.space) == 24

@@ -45,6 +45,7 @@ from oracles import (
     choquet_by_levels,
     combined_payoffs,
     coupon_values_by_fractions,
+    dual_by_fractions,
     pmf_exists_for,
     solve_exact,
     upper_extension_vertices,
@@ -297,6 +298,10 @@ def deep_fills(draw, max_size=30):
     return pmf, gamble
 
 
+# ten primes whose product, ~6.5·10^20, is past 2**64
+_PRIMES_PAST_100 = (101, 103, 107, 109, 113, 127, 131, 137, 139, 149)
+
+
 def _pair(masses, payoffs):
     space = _space(len(masses))
     return UpperPMF(space, tuple(masses)), Gamble(space, tuple(payoffs))
@@ -326,6 +331,38 @@ class TestGreedyFillProperties:
         assert lower_natural_extension(pmf, gamble) == -choquet_by_levels(
             pmf, -gamble
         )
+
+    @settings(max_examples=150)
+    @given(pair=deep_fills())
+    @example(  # payoffs over distinct prime denominators
+        pair=_pair(
+            ["1/2", "1/3", "1/5", "1/7"],
+            [Fraction(1, 2), Fraction(-2, 3), Fraction(3, 5), Fraction(1, 7)],
+        )
+    )
+    @example(  # caps whose lcm exceeds 2**64
+        pair=_pair(
+            [Fraction(p - 1, p) for p in _PRIMES_PAST_100],
+            [Fraction(k, 11) for k in range(len(_PRIMES_PAST_100))],
+        )
+    )
+    @example(pair=_pair(["1/2", "1/2", "1/3"], [3, 2, 1]))  # leftover = cap
+    @example(  # equal payoffs from different raw fractions
+        pair=_pair(
+            ["1/2", "1/3", "1/2", "1/4"],
+            ["2/4", Fraction(1, 2), Fraction(4, 2), 2],
+        )
+    )
+    def test_integer_fill_equals_the_fraction_fill(self, pair):
+        pmf, gamble = pair
+        dual = construct_dual(pmf, gamble)
+        expected = dual_by_fractions(pmf, gamble)
+        assert dual.ordering == expected.ordering
+        assert dual.p == expected.p
+        assert dual.k == expected.k
+        assert dual.k_prime == expected.k_prime
+        assert dual.value == expected.value
+        assert all(type(v) is Fraction for v in (*dual.p, dual.value))
 
     @given(pair=pmf_gamble_pairs(max_size=30), data=st.data())
     def test_caps_below_one_and_foreign_gambles_are_refused(self, pair, data):

@@ -20,7 +20,7 @@ from dutchbook import (
     upper_pmf_from_odds,
     verify_certificate,
 )
-from oracles import choquet_by_levels, combined_payoffs
+from oracles import choquet_by_levels, combined_payoffs, dual_by_fractions
 
 WDL = OutcomeSpace.from_labels(["W", "D", "L"])
 G_DL = Gamble(WDL, (5, -13, -11))
@@ -107,6 +107,24 @@ class TestConstructDual:
             assert dual.value == dual.expectation(gamble)
             assert dual.value == choquet_by_levels(pmf, gamble)
             assert upper_natural_extension(pmf, gamble) == dual.value
+
+    def test_integer_fill_equals_the_fraction_fill_on_the_euro_books(
+        self, euro_market, bet2
+    ):
+        space = bet2.space
+        pmf = upper_pmf_from_odds(bet2)
+        gambles = [
+            (pmf, first_free_gamble(bet2, first, coupon).gamble)
+            for first in space
+            for coupon in space
+            if first != coupon
+        ]
+        assert len(gambles) == 552
+        for table in euro_market.tables:
+            book = upper_pmf_from_odds(table)
+            gambles += [(book, gamble) for gamble in table.gambles()]
+        for caps, gamble in gambles:
+            assert construct_dual(caps, gamble) == dual_by_fractions(caps, gamble)
 
     def test_mass_total_boundary(self):
         pmf = UpperPMF(WDL, (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4)))
