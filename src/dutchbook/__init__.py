@@ -3,14 +3,13 @@
 Everything is computed in exact rational arithmetic: verdicts, prices,
 stakes and their optimality certificates are Fractions end to end, and
 decimals only appear in display helpers.
+
+The top level re-exports the model types, the coupon rules, every error
+class and the functions the README and the demos use; the rest of the
+API lives in the submodules.
 """
 
 from .choquet import (
-    DualSolution,
-    Level,
-    LevelSetDecomposition,
-    UpperPMF,
-    construct_dual,
     decompose,
     lower_event,
     lower_natural_extension,
@@ -18,9 +17,7 @@ from .choquet import (
     upper_natural_extension,
 )
 from .coupons import (
-    DEFAULT_RULES,
     CouponRules,
-    FirstFreeGamble,
     enumerate_coupons,
     exploitability,
     first_free_gamble,
@@ -34,14 +31,7 @@ from .errors import (
     StakeSystemError,
     SureLossError,
 )
-from .io import (
-    load_fixture_market,
-    load_market,
-    market_to_csv,
-    parse_market_csv,
-    parse_wide_market_csv,
-    wide_to_long_csv,
-)
+from .io import load_fixture_market, market_to_csv, parse_market_csv
 from .model import (
     FractionalOdds,
     Gamble,
@@ -49,24 +39,11 @@ from .model import (
     OddsTable,
     Outcome,
     OutcomeSpace,
-    Rational,
-    as_rational,
     format_decimal,
     format_rational,
-    gamble_from_odds,
-    indicator,
-    scale_odds,
 )
-from .strategy import (
-    StrategyReport,
-    best_strategy,
-    certificate_failures,
-    solve_stakes,
-    strategy_for_coupon,
-    verify_certificate,
-)
+from .strategy import best_strategy, strategy_for_coupon, verify_certificate
 from .sureloss import (
-    ASLVerdict,
     check_asl_market,
     check_asl_single,
     expectation_sign_check,
@@ -78,35 +55,23 @@ from .sureloss import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "ASLVerdict",
     "BaseOddsSureLossError",
     "CertificateError",
     "CouponRuleError",
     "CouponRules",
-    "DEFAULT_RULES",
     "DataError",
-    "DualSolution",
     "DutchbookError",
-    "FirstFreeGamble",
     "FractionalOdds",
     "Gamble",
-    "Level",
-    "LevelSetDecomposition",
     "Market",
     "OddsTable",
     "Outcome",
     "OutcomeSpace",
-    "Rational",
     "StakeSystemError",
-    "StrategyReport",
     "SureLossError",
-    "UpperPMF",
-    "as_rational",
     "best_strategy",
-    "certificate_failures",
     "check_asl_market",
     "check_asl_single",
-    "construct_dual",
     "decompose",
     "enumerate_coupons",
     "expectation_sign_check",
@@ -114,23 +79,16 @@ __all__ = [
     "first_free_gamble",
     "format_decimal",
     "format_rational",
-    "gamble_from_odds",
-    "indicator",
     "load_fixture_market",
-    "load_market",
     "lower_event",
     "lower_natural_extension",
     "market_to_csv",
     "max_odds",
     "over_round",
     "parse_market_csv",
-    "parse_wide_market_csv",
-    "scale_odds",
-    "solve_stakes",
     "strategy_for_coupon",
     "upper_event",
     "upper_natural_extension",
     "upper_pmf_from_odds",
     "verify_certificate",
-    "wide_to_long_csv",
 ]

@@ -60,11 +60,6 @@ class UpperPMF:
                     f"mass for {outcome.label} is {mass}, outside [0, 1]"
                 )
 
-    def mass(self, outcome: Outcome) -> Rational:
-        if outcome not in self.space:
-            raise ValueError(f"outcome {outcome} not in this pmf's space")
-        return self.masses[outcome.index]
-
     def total(self) -> Rational:
         return self._total
 
@@ -127,16 +122,6 @@ class LevelSetDecomposition:
             if previous is not None and not level.members < previous:
                 raise ValueError("level sets must be strictly nested")
             previous = level.members
-
-    def evaluate(self, index: int) -> Rational:
-        value = self.base
-        for level in self.levels:
-            if index in level.members:
-                value += level.weight
-        return value
-
-    def reconstruct(self, space: OutcomeSpace) -> Gamble:
-        return Gamble(space, tuple(self.evaluate(i) for i in range(len(space))))
 
 
 def decompose(gamble: Gamble) -> LevelSetDecomposition:

@@ -28,7 +28,6 @@ from .choquet import (
 )
 from .coupons import (
     CouponRules,
-    capped_out_pairs,
     enumerate_coupons,  # noqa: F401  (bench/tracer.py wraps it here)
     first_free_gamble,
     scaled_coupon_values,
@@ -39,13 +38,7 @@ from .errors import (
     DataError,
     SureLossError,
 )
-from .model import (
-    Gamble,
-    Market,
-    OddsTable,
-    format_decimal,
-    format_rational,
-)
+from .model import Gamble, OddsTable, format_decimal, format_rational
 from .strategy import StrategyReport, strategy_for_coupon, verify_certificate
 from .sureloss import (
     ASLVerdict,
@@ -75,14 +68,6 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: error: {message}")
 
 
-def _rat(value) -> str:
-    return format_rational(value)
-
-
-def _dec(value) -> str:
-    return format_decimal(value, 4)
-
-
 def _read_input(value: str) -> str:
     path = Path(value)
     if path.exists():
@@ -96,24 +81,21 @@ def _read_input(value: str) -> str:
         ) from None
 
 
-def _load_market(value: str) -> Market:
-    return io.parse_market_csv(_read_input(value))
-
-
 def _verdict_fields(verdict: ASLVerdict) -> dict:
     margin = over_round(verdict.table)
     fields = {
         "avoids_sure_loss": verdict.avoids,
-        "total": _rat(verdict.total),
-        "total_decimal": _dec(verdict.total),
-        "over_round": _rat(margin),
-        "over_round_decimal": _dec(margin),
+        "total": format_rational(verdict.total),
+        "total_decimal": format_decimal(verdict.total),
+        "over_round": format_rational(margin),
+        "over_round_decimal": format_decimal(margin),
     }
     if verdict.witness is None:
         fields["witness"] = None
     else:
         fields["witness"] = {
-            o.label: _rat(w) for o, w in zip(verdict.table.space, verdict.witness)
+            o.label: format_rational(w)
+            for o, w in zip(verdict.table.space, verdict.witness)
         }
     return fields
 
@@ -128,16 +110,16 @@ def _strategy_fields(
         "coupon": (
             report.coupon_outcome.label if report.coupon_outcome else None
         ),
-        "alpha": _rat(report.alpha),
-        "alpha_decimal": _dec(report.alpha),
-        "guaranteed_gain": _rat(report.guaranteed_gain),
-        "gain_decimal": _dec(report.guaranteed_gain),
+        "alpha": format_rational(report.alpha),
+        "alpha_decimal": format_decimal(report.alpha),
+        "guaranteed_gain": format_rational(report.guaranteed_gain),
+        "gain_decimal": format_decimal(report.guaranteed_gain),
         "stakes": {
-            o.label: _rat(s) for o, s in zip(space, report.stakes)
+            o.label: format_rational(s) for o, s in zip(space, report.stakes)
         },
         "certificate": {
             "verified": verify_certificate(table, gamble, report),
-            "dual": {o.label: _rat(p) for o, p in zip(space, certificate.p)},
+            "dual": {o.label: format_rational(p) for o, p in zip(space, certificate.p)},
             "ordering": [space[i].label for i in certificate.ordering],
             "k": certificate.k,
             "k_prime": certificate.k_prime,
@@ -146,7 +128,7 @@ def _strategy_fields(
 
 
 def _cmd_check_asl(args) -> dict:
-    market = _load_market(args.file)
+    market = io.parse_market_csv(_read_input(args.file))
     report = {
         "command": "check-asl",
         "source": args.file,
@@ -171,7 +153,7 @@ def _cmd_check_asl(args) -> dict:
     report.update(_verdict_fields(verdict))
     pmf = upper_pmf_from_odds(table)
     report["upper_pmf"] = {
-        o.label: _rat(m) for o, m in zip(market.space, pmf.masses)
+        o.label: format_rational(m) for o, m in zip(market.space, pmf.masses)
     }
     return report
 
@@ -197,13 +179,13 @@ def _coupon_rules(text: str | None) -> CouponRules:
 
 
 def _cmd_find_coupon_arbitrage(args) -> dict:
-    market = _load_market(args.file)
+    market = io.parse_market_csv(_read_input(args.file))
     table = market.table(args.bookmaker)
     rules = _coupon_rules(args.max_coupon)
     cap = rules.max_coupon_value
     base = check_asl_single(table)
     # raises on base sure loss; sorted, the best pair comes first
-    scale, values = scaled_coupon_values(table, rules)
+    scale, values, capped = scaled_coupon_values(table, rules)
     values.sort()
     space = table.space
     report = {
@@ -212,12 +194,21 @@ def _cmd_find_coupon_arbitrage(args) -> dict:
         "bookmaker": args.bookmaker,
         "outcomes": list(market.space.labels),
         "base": _verdict_fields(base),
-        "rules": {"max_coupon_value": _rat(cap) if cap is not None else None},
+        "rules": {
+            "max_coupon_value": format_rational(cap) if cap is not None else None
+        },
         "pair_count": len(values),
         "exploitable_count": sum(1 for v, _, _ in values if v < 0),
         "excluded_pairs": [
-            {"first": first.label, "coupon": coupon.label, "reason": reason}
-            for first, coupon, reason in capped_out_pairs(table, rules)
+            {
+                "first": space[i].label,
+                "coupon": coupon.label,
+                "reason": f"first stake {table.odds[i].denominator} "
+                f"exceeds coupon cap {cap}",
+            }
+            for i in capped
+            for coupon in space
+            if coupon.index != i
         ],
     }
     if args.all:
@@ -226,8 +217,8 @@ def _cmd_find_coupon_arbitrage(args) -> dict:
             {
                 "first": space[i].label,
                 "coupon": space[j].label,
-                "value": _rat(value),
-                "value_decimal": _dec(value),
+                "value": format_rational(value),
+                "value_decimal": format_decimal(value),
                 "exploitable": value < 0,
             }
             for value, i, j in priced
@@ -244,7 +235,7 @@ def _cmd_find_coupon_arbitrage(args) -> dict:
 
 
 def _cmd_natural_extension(args) -> dict:
-    market = _load_market(args.file)
+    market = io.parse_market_csv(_read_input(args.file))
     table = market.table(args.bookmaker)
     pieces = [p.strip() for p in args.gamble.split(",")]
     if len(pieces) != len(market.space):
@@ -264,16 +255,16 @@ def _cmd_natural_extension(args) -> dict:
         "source": args.file,
         "bookmaker": args.bookmaker,
         "outcomes": list(market.space.labels),
-        "gamble": {o.label: _rat(v) for o, v in gamble.items()},
-        "upper": _rat(upper),
-        "upper_decimal": _dec(upper),
-        "lower": _rat(lower),
-        "lower_decimal": _dec(lower),
+        "gamble": {o.label: format_rational(v) for o, v in gamble.items()},
+        "upper": format_rational(upper),
+        "upper_decimal": format_decimal(upper),
+        "lower": format_rational(lower),
+        "lower_decimal": format_decimal(lower),
         "decomposition": {
-            "base": _rat(parts.base),
+            "base": format_rational(parts.base),
             "levels": [
                 {
-                    "weight": _rat(level.weight),
+                    "weight": format_rational(level.weight),
                     "members": sorted(
                         (market.space[i].label for i in level.members),
                         key=market.space.labels.index,

@@ -17,14 +17,7 @@ from math import lcm
 
 from .choquet import upper_natural_extension
 from .errors import BaseOddsSureLossError, CouponRuleError
-from .model import (
-    Gamble,
-    OddsTable,
-    Outcome,
-    Rational,
-    as_rational,
-    scale_odds,
-)
+from .model import Gamble, OddsTable, Outcome, Rational, as_rational
 from .sureloss import check_asl_single, upper_pmf_from_odds
 
 
@@ -44,9 +37,6 @@ class CouponRules:
             object.__setattr__(self, "max_coupon_value", cap)
             if cap <= 0:
                 raise ValueError(f"coupon cap must be > 0, got {cap}")
-
-
-DEFAULT_RULES = CouponRules()
 
 
 @dataclass(frozen=True)
@@ -69,7 +59,7 @@ def first_free_gamble(
     table: OddsTable,
     first: Outcome,
     coupon: Outcome,
-    rules: CouponRules = DEFAULT_RULES,
+    rules: CouponRules = CouponRules(),
 ) -> FirstFreeGamble:
     """Combined bookmaker payoff for first bet on ``first``, coupon on ``coupon``.
 
@@ -92,13 +82,12 @@ def first_free_gamble(
             f"{rules.max_coupon_value}"
         )
     scale = stake / coupon_odds.denominator
-    scaled = scale_odds(coupon_odds, scale)
     # the first bet keeps the stake b_i except on its own outcome; the
     # coupon bet risks no customer money, so on the coupon outcome the
-    # bookmaker keeps b_i less the scaled winnings
+    # bookmaker keeps b_i less the coupon's winnings, a_j rescaled by b_i / b_j
     payoffs = [stake] * len(table.space)
     payoffs[first.index] = -first_odds.numerator
-    payoffs[coupon.index] = stake - scaled.numerator
+    payoffs[coupon.index] = stake - scale * coupon_odds.numerator
     combined = Gamble(table.space, tuple(payoffs))
     return FirstFreeGamble(first, coupon, combined, scale)
 
@@ -121,12 +110,14 @@ def exploitability(table: OddsTable, ffg: FirstFreeGamble) -> Rational:
 
 
 def scaled_coupon_values(
-    table: OddsTable, rules: CouponRules = DEFAULT_RULES
-) -> tuple[int, list[tuple[int, int, int]]]:
+    table: OddsTable, rules: CouponRules = CouponRules()
+) -> tuple[int, list[tuple[int, int, int]], list[int]]:
     """Every admissible pair's price as an integer over one common scale.
 
-    Returns ``(scale, [(V, first index, coupon index)])`` in index order,
-    where ``V / scale`` is the pair's upper natural extension.  The
+    Returns ``(scale, [(V, first index, coupon index)], capped)``, the
+    values in index order, where ``V / scale`` is the pair's upper natural
+    extension, and ``capped`` the indices, ascending, of the first
+    outcomes whose stake exceeds the coupon cap.  The
     combined gamble of pair (i, j) takes three values: ``b_i`` on the
     other outcomes, whose caps total ``R = T − m_i − m_j`` (``T`` the cap
     total), ``c = b_i·(b_j − a_j)/b_j`` on j (cap ``m_j``) and ``−a_i``
@@ -166,9 +157,11 @@ def scaled_coupon_values(
     total = sum(masses)
     cap_value = rules.max_coupon_value
     values = []
+    capped = []
     for i, first in enumerate(odds):
         stake, win = first.denominator, first.numerator
         if cap_value is not None and stake > cap_value:
+            capped.append(i)
             continue
         stake_d = stake.numerator * (odds_scale // stake.denominator)
         loss = -win.numerator * (odds_scale // win.denominator) * rate_scale
@@ -192,11 +185,11 @@ def scaled_coupon_values(
             take = min(left, high_cap)
             value = kept * rest + high * take + low * (left - take)
             values.append((value, i, j))
-    return cap_scale * odds_scale * rate_scale, values
+    return cap_scale * odds_scale * rate_scale, values, capped
 
 
 def enumerate_coupons(
-    table: OddsTable, rules: CouponRules = DEFAULT_RULES
+    table: OddsTable, rules: CouponRules = CouponRules()
 ) -> list[tuple[FirstFreeGamble, Rational]]:
     """Evaluate every ordered (first, coupon) pair of distinct outcomes.
 
@@ -204,7 +197,7 @@ def enumerate_coupons(
     ascending (best customer gain first), ties by outcome index pair.
     Pairs whose first stake exceeds the coupon cap are omitted.
     """
-    scale, values = scaled_coupon_values(table, rules)
+    scale, values, _ = scaled_coupon_values(table, rules)
     space = table.space
     return [
         (
@@ -214,21 +207,3 @@ def enumerate_coupons(
         for v, i, j in sorted(values)
     ]
 
-
-def capped_out_pairs(
-    table: OddsTable, rules: CouponRules
-) -> list[tuple[Outcome, Outcome, str]]:
-    """Pairs excluded from enumeration by the coupon cap, with reasons."""
-    if rules.max_coupon_value is None:
-        return []
-    notes = []
-    for first in table.space:
-        stake = table.odds_for(first).denominator
-        if stake > rules.max_coupon_value:
-            reason = (
-                f"first stake {stake} exceeds coupon cap {rules.max_coupon_value}"
-            )
-            for coupon in table.space:
-                if coupon != first:
-                    notes.append((first, coupon, reason))
-    return notes

@@ -138,6 +138,8 @@ def parse_wide_market_csv(text: str) -> Market:
             "followed by bookmaker names"
         )
     bookmakers = header[1:]
+    if "" in bookmakers:  # cells are stripped, so a blank one reads as ""
+        raise DataError(f"line {header_line}: empty bookmaker name in the header")
     if len(set(bookmakers)) != len(bookmakers):
         raise DataError(f"line {header_line}: duplicate bookmaker columns")
     outcomes: list[str] = []

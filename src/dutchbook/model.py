@@ -12,7 +12,7 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, Union
+from typing import TYPE_CHECKING, Iterable, Iterator, Union
 
 if TYPE_CHECKING:
     from .choquet import UpperPMF
@@ -143,10 +143,11 @@ class OutcomeSpace:
 class FractionalOdds:
     """Fractional betting odds ``a/b``: stake ``b`` to win ``a``.
 
-    Both components may themselves be rational (rescaled odds such as
-    (15/4)/5 arise when coupon stakes are matched), but bookmakers quote
-    integer components.  The pair is stored verbatim: 18/4 and 9/2 quote
-    the same price but different stakes, so they are distinct values.
+    Both components may themselves be rational, but bookmakers quote
+    integer components.  Rescaled odds such as (15/4)/5 arise only inside
+    :func:`~dutchbook.coupons.first_free_gamble`, which matches the coupon
+    stake to the first one.  The pair is stored verbatim: 18/4 and 9/2
+    quote the same price but different stakes, so they are distinct values.
     """
 
     numerator: Rational  # a, winnings per `denominator` staked
@@ -211,21 +212,8 @@ class Gamble:
                 f"{len(self.space)} outcomes"
             )
 
-    @classmethod
-    def constant(cls, space: OutcomeSpace, value: RationalLike) -> "Gamble":
-        return cls(space, (as_rational(value),) * len(space))
-
-    def payoff(self, outcome: Outcome) -> Rational:
-        if outcome not in self.space:
-            raise ValueError(f"outcome {outcome} not in this gamble's space")
-        return self.payoffs[outcome.index]
-
     def items(self) -> Iterator[tuple[Outcome, Rational]]:
         return zip(self.space, self.payoffs)
-
-    def scale(self, factor: RationalLike) -> "Gamble":
-        q = as_rational(factor)
-        return Gamble(self.space, tuple(q * v for v in self.payoffs))
 
     def __add__(self, other: "Gamble") -> "Gamble":
         if self.space != other.space:
@@ -237,20 +225,9 @@ class Gamble:
     def __neg__(self) -> "Gamble":
         return Gamble(self.space, tuple(-v for v in self.payoffs))
 
-    def __rmul__(self, factor) -> "Gamble":
-        return self.scale(factor)
-
     def __str__(self) -> str:
         entries = ", ".join(f"{o.label}: {v}" for o, v in self.items())
         return f"({entries})"
-
-
-def indicator(space: OutcomeSpace, members: Iterable[Outcome]) -> Gamble:
-    """The gamble paying 1 on ``members`` and 0 elsewhere."""
-    idx = {o.index for o in members}
-    return Gamble(
-        space, tuple(Fraction(1 if i in idx else 0) for i in range(len(space)))
-    )
 
 
 def gamble_from_odds(
@@ -272,18 +249,6 @@ def gamble_from_odds(
     return Gamble(space, tuple(payoffs))
 
 
-def scale_odds(odds: FractionalOdds, factor: RationalLike) -> FractionalOdds:
-    """Rescale both odds components: (a/b) -> (fa)/(fb), same price, scaled stake.
-
-    Accepting a/b means also accepting any positively rescaled version, so
-    this is how a coupon stake is matched to a required denominator.
-    """
-    q = as_rational(factor)
-    if q <= 0:
-        raise ValueError(f"scale factor must be > 0, got {q}")
-    return FractionalOdds(q * odds.numerator, q * odds.denominator)
-
-
 @dataclass(frozen=True)
 class OddsTable:
     """One bookmaker's full price list: fractional odds for every outcome."""
@@ -299,37 +264,17 @@ class OddsTable:
                 f"for {len(self.space)} outcomes"
             )
 
-    @classmethod
-    def from_mapping(
-        cls,
-        bookmaker: str,
-        space: OutcomeSpace,
-        odds: Mapping[str, Union[FractionalOdds, str]],
-    ) -> "OddsTable":
-        """Build a table from {outcome label: odds or odds text}."""
-        unknown = set(odds) - set(space.labels)
-        if unknown:
-            raise ValueError(f"odds given for unknown outcomes {sorted(unknown)}")
-        missing = set(space.labels) - set(odds)
-        if missing:
-            raise ValueError(f"no odds for outcomes {sorted(missing)}")
-        parsed = tuple(
-            o if isinstance(o, FractionalOdds) else FractionalOdds.parse(o)
-            for o in (odds[lb] for lb in space.labels)
-        )
-        return cls(bookmaker, space, parsed)
-
     def odds_for(self, outcome: Outcome) -> FractionalOdds:
         if outcome not in self.space:
             raise ValueError(f"outcome {outcome} not in this table's space")
         return self.odds[outcome.index]
 
-    def gamble(self, outcome: Outcome) -> Gamble:
-        """The bookmaker's gamble for the odds offered on ``outcome``."""
-        return gamble_from_odds(self.odds_for(outcome), outcome, self.space)
-
     def gambles(self) -> tuple[Gamble, ...]:
-        return tuple(self.gamble(o) for o in self.space)
+        """The bookmaker's gamble for the odds offered on each outcome."""
+        return tuple(
+            gamble_from_odds(odds, o, self.space)
+            for o, odds in zip(self.space, self.odds)
+        )
 
     @cached_property
     def upper_pmf(self) -> UpperPMF:

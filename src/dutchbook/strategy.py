@@ -19,7 +19,6 @@ from fractions import Fraction
 
 from .choquet import DualSolution, construct_dual
 from .coupons import (
-    DEFAULT_RULES,
     CouponRules,
     FirstFreeGamble,
     enumerate_coupons,  # noqa: F401  (bench/tracer.py wraps it here)
@@ -135,10 +134,9 @@ def certificate_failures(
 
     Checks, all in exact arithmetic: the dual distribution is feasible
     (sums to 1, within the caps), the stake vector is feasible (non-
-    negative, bookmaker payoff never exceeds alpha... i.e. alpha covers
-    the combined payoff at every outcome), and both objectives equal
-    alpha.  Feasible pair + equal objectives is a complete optimality
-    proof by weak duality.
+    negative, and the bookmaker's combined payoff is at most alpha at
+    every outcome), and both objectives equal alpha.  Feasible pair +
+    equal objectives is a complete optimality proof by weak duality.
     """
     failures = []
     space = table.space
@@ -226,7 +224,7 @@ def strategy_for_coupon(
 
 
 def best_strategy(
-    table: OddsTable, rules: CouponRules = DEFAULT_RULES
+    table: OddsTable, rules: CouponRules = CouponRules()
 ) -> StrategyReport | None:
     """Best certified coupon strategy, or None when no coupon is exploitable.
 
@@ -238,7 +236,7 @@ def best_strategy(
     passes :func:`certificate_failures` in rationals like any other.
     The base odds must avoid sure loss.
     """
-    _, values = scaled_coupon_values(table, rules)
+    _, values, _ = scaled_coupon_values(table, rules)
     if not values:
         return None
     value, first, coupon = min(values)

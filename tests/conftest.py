@@ -3,7 +3,7 @@ import os
 import pytest
 from hypothesis import settings
 
-from dutchbook import OddsTable, OutcomeSpace, load_fixture_market
+from dutchbook import FractionalOdds, OddsTable, OutcomeSpace, load_fixture_market
 
 # on a shared CI runner a slow example would fail on Hypothesis's 200 ms
 # deadline, which says nothing about correctness; CI sets $CI, local runs
@@ -39,6 +39,8 @@ def table_of():
 
     def build(odds, bookmaker="Book"):
         space = OutcomeSpace.from_labels(odds)
-        return OddsTable.from_mapping(bookmaker, space, odds)
+        return OddsTable(
+            bookmaker, space, tuple(FractionalOdds.parse(v) for v in odds.values())
+        )
 
     return build

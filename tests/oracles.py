@@ -13,12 +13,13 @@ from itertools import combinations
 
 from dutchbook import (
     BaseOddsSureLossError,
-    DualSolution,
+    Gamble,
     SureLossError,
     check_asl_single,
     decompose,
     upper_event,
 )
+from dutchbook.choquet import DualSolution
 
 
 def solve_exact(rows, rhs):
@@ -52,6 +53,18 @@ def choquet_by_levels(pmf, gamble):
     for level in parts.levels:
         value += level.weight * upper_event(pmf, level.members)
     return value
+
+
+def gamble_from_levels(parts, space):
+    """The gamble a level-set decomposition describes: at each outcome,
+    the base plus the weights of the levels that contain it."""
+    return Gamble(
+        space,
+        tuple(
+            sum((lvl.weight for lvl in parts.levels if i in lvl.members), parts.base)
+            for i in range(len(space))
+        ),
+    )
 
 
 def upper_extension_vertices(masses, payoffs):

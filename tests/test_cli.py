@@ -195,7 +195,13 @@ class TestFindCouponArbitrage:
             "9/2",
         )
         assert report["pair_count"] == 2
-        assert len(report["excluded_pairs"]) == 4
+        # D and L both stake 5 > 9/2: every pair they open is excluded, in
+        # index order
+        reason = "first stake 5 exceeds coupon cap 9/2"
+        assert report["excluded_pairs"] == [
+            {"first": first, "coupon": coupon, "reason": reason}
+            for first, coupon in [("D", "W"), ("D", "L"), ("L", "W"), ("L", "D")]
+        ]
         assert report["rules"]["max_coupon_value"] == "9/2"
 
     @pytest.mark.parametrize("cap", [*BAD_NUMBERS, "0"])
@@ -356,6 +362,15 @@ class TestConvertOdds:
     def test_long_input_rejected(self, capsys):
         code, _, err = run(capsys, "convert-odds", "three_bookmakers.csv")
         assert code == 1
+
+    @pytest.mark.parametrize("header", ["outcome,,B", "outcome,B, "])
+    def test_empty_bookmaker_header_cell_rejected(self, capsys, tmp_path, header):
+        sheet = tmp_path / "wide.csv"
+        sheet.write_text(f"{header}\nW,1,2\nL,2,1\n", encoding="utf-8")
+        code, out, err = run(capsys, "convert-odds", str(sheet))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: line 1")
 
 
 class TestUsage:

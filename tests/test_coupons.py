@@ -9,14 +9,11 @@ from dutchbook import (
     enumerate_coupons,
     exploitability,
     first_free_gamble,
-    gamble_from_odds,
     upper_natural_extension,
     upper_pmf_from_odds,
 )
-from dutchbook.coupons import (
-    capped_out_pairs,
-    scaled_coupon_values,
-)
+from dutchbook.coupons import scaled_coupon_values
+from dutchbook.model import gamble_from_odds
 from oracles import coupon_values_by_fractions
 
 # independently recomputed by vertex enumeration over the dual polytope
@@ -61,7 +58,7 @@ class TestFirstFreeGamble:
         ffg = first_free_gamble(
             table, table.space.outcome("A"), table.space.outcome("B")
         )
-        assert ffg.gamble.payoff(table.space.outcome("B")) == 0
+        assert ffg.gamble.payoffs[table.space.outcome("B").index] == 0
 
     def test_coupon_stake_rescaled_to_first_stake(self, forest):
         space = forest.space
@@ -157,7 +154,8 @@ class TestEnumerateCoupons:
     def test_closed_form_matches_choquet_price_on_every_bet2_pair(self, bet2):
         pmf = upper_pmf_from_odds(bet2)
         space = bet2.space
-        scale, values = scaled_coupon_values(bet2)
+        scale, values, capped = scaled_coupon_values(bet2)
+        assert capped == []
         assert [(i, j) for _, i, j in values] == [
             (i, j) for i in range(24) for j in range(24) if i != j
         ]
@@ -171,7 +169,7 @@ class TestEnumerateCoupons:
         self, euro_market
     ):
         for table in euro_market.tables:
-            scale, values = scaled_coupon_values(table)
+            scale, values, _ = scaled_coupon_values(table)
             expected = coupon_values_by_fractions(table, CouponRules())
             assert [(Fraction(v, scale), i, j) for v, i, j in values] == expected
 
@@ -192,7 +190,8 @@ class TestEnumerateCoupons:
         # D and L both stake 5 > 9/2; only W-first pairs remain
         assert len(entries) == 2
         assert all(f.first_outcome.label == "W" for f, _ in entries)
-        notes = capped_out_pairs(forest, rules)
-        assert len(notes) == 4
-        assert all("exceeds coupon cap" in reason for _, _, reason in notes)
-        assert capped_out_pairs(forest, CouponRules()) == []
+        # the sweep names the capped first outcomes, D and L, by index
+        _, values, capped = scaled_coupon_values(forest, rules)
+        assert capped == [1, 2]
+        assert {i for _, i, _ in values} == {0}
+        assert scaled_coupon_values(forest, CouponRules())[2] == []

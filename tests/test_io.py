@@ -11,14 +11,17 @@ from dutchbook import (
     OddsTable,
     OutcomeSpace,
     load_fixture_market,
-    load_market,
     market_to_csv,
     parse_market_csv,
+)
+from dutchbook.io import (
+    decode_csv,
+    fixture_names,
+    load_market,
     parse_wide_market_csv,
-    scale_odds,
+    read_fixture,
     wide_to_long_csv,
 )
-from dutchbook.io import decode_csv, fixture_names, read_fixture
 
 SAMPLE = """\
 # comment line
@@ -151,7 +154,8 @@ class TestRoundTrip:
         assert "L,B,13/5" in text
 
     def test_rational_components_cannot_serialize(self, forest):
-        scaled = scale_odds(forest.odds[0], Fraction(5, 4))
+        # W's 3/4 rescaled by 5/4, as a coupon stake match would give
+        scaled = FractionalOdds(Fraction(15, 4), 5)
         broken = type(forest)(
             "scaled", forest.space, (scaled,) + forest.odds[1:]
         )
@@ -174,6 +178,11 @@ class TestWideFormat:
     def test_bad_wide_header(self):
         with pytest.raises(DataError):
             parse_wide_market_csv("team,B1\nW,1\n")
+        # an empty or blank bookmaker cell would write rows the long parser
+        # refuses
+        for header in ("outcome,,B", "outcome,B,  "):
+            with pytest.raises(DataError, match="line 1: empty bookmaker"):
+                parse_wide_market_csv(f"{header}\nW,1,2\n")
 
     def test_duplicate_bookmaker_column(self):
         with pytest.raises(DataError):

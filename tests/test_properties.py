@@ -15,37 +15,33 @@ from dutchbook import (
     OddsTable,
     OutcomeSpace,
     SureLossError,
-    UpperPMF,
-    as_rational,
     best_strategy,
-    certificate_failures,
     check_asl_market,
     check_asl_single,
-    construct_dual,
     decompose,
     enumerate_coupons,
     expectation_sign_check,
     first_free_gamble,
     format_rational,
-    gamble_from_odds,
-    indicator,
     lower_event,
     lower_natural_extension,
-    scale_odds,
-    solve_stakes,
     strategy_for_coupon,
     upper_event,
     upper_natural_extension,
     upper_pmf_from_odds,
     verify_certificate,
 )
+from dutchbook.choquet import UpperPMF, construct_dual
 from dutchbook.coupons import scaled_coupon_values
+from dutchbook.model import as_rational, gamble_from_odds
+from dutchbook.strategy import certificate_failures, solve_stakes
 from oracles import (
     certificate_failures_by_expansion,
     choquet_by_levels,
     combined_payoffs,
     coupon_values_by_fractions,
     dual_by_fractions,
+    gamble_from_levels,
     pmf_exists_for,
     solve_exact,
     upper_extension_vertices,
@@ -136,10 +132,10 @@ def sweep_tables(draw, max_size=7):
             FractionalOdds(draw(odds_numerators), draw(odds_denominators))
             for _ in range(n)
         ]
-    odds = [
-        scale_odds(o, draw(positive_factors)) if draw(st.booleans()) else o
-        for o in odds
-    ]
+    for k, o in enumerate(odds):
+        if draw(st.booleans()):
+            q = draw(positive_factors)
+            odds[k] = FractionalOdds(q * o.numerator, q * o.denominator)
     table = OddsTable("Book", _space(n), tuple(odds))
     assume(check_asl_single(table).avoids)
     return table
@@ -206,8 +202,10 @@ class TestModelProperties:
         space = _space(n)
         target = space[data.draw(st.integers(0, n - 1))]
         odds = FractionalOdds(a, b)
-        scaled = gamble_from_odds(scale_odds(odds, alpha), target, space)
-        assert scaled == alpha * gamble_from_odds(odds, target, space)
+        rescaled = FractionalOdds(alpha * a, alpha * b)
+        scaled = gamble_from_odds(rescaled, target, space)
+        payoffs = gamble_from_odds(odds, target, space).payoffs
+        assert scaled.payoffs == tuple(alpha * v for v in payoffs)
 
     @given(q=rationals)
     def test_rational_format_round_trip(self, q):
@@ -217,7 +215,7 @@ class TestModelProperties:
 class TestChoquetProperties:
     @given(gamble=gambles())
     def test_decomposition_reconstructs_exactly(self, gamble):
-        assert decompose(gamble).reconstruct(gamble.space) == gamble
+        assert gamble_from_levels(decompose(gamble), gamble.space) == gamble
 
     @given(pair=pmf_gamble_pairs(), data=st.data())
     def test_monotone_in_the_gamble(self, pair, data):
@@ -233,7 +231,7 @@ class TestChoquetProperties:
     @given(pair=pmf_gamble_pairs(), c=rationals)
     def test_constant_additivity(self, pair, c):
         pmf, gamble = pair
-        shifted = gamble + Gamble.constant(gamble.space, c)
+        shifted = gamble + Gamble(gamble.space, (c,) * len(gamble.space))
         assert (
             upper_natural_extension(pmf, shifted)
             == upper_natural_extension(pmf, gamble) + c
@@ -242,8 +240,9 @@ class TestChoquetProperties:
     @given(pair=pmf_gamble_pairs(), alpha=positive_factors)
     def test_positive_homogeneity(self, pair, alpha):
         pmf, gamble = pair
+        scaled = Gamble(gamble.space, tuple(alpha * v for v in gamble.payoffs))
         assert upper_natural_extension(
-            pmf, alpha * gamble
+            pmf, scaled
         ) == alpha * upper_natural_extension(pmf, gamble)
 
     @given(pair=pmf_gamble_pairs(max_size=4))
@@ -252,7 +251,7 @@ class TestChoquetProperties:
         outcomes = list(pmf.space)
         for mask in range(2 ** len(outcomes)):
             event = [o for i, o in enumerate(outcomes) if mask >> i & 1]
-            gamble = indicator(pmf.space, event)
+            gamble = Gamble(pmf.space, tuple(int(o in event) for o in outcomes))
             assert upper_natural_extension(pmf, gamble) == upper_event(pmf, event)
             assert lower_natural_extension(pmf, gamble) == lower_event(pmf, event)
 
@@ -384,7 +383,7 @@ class TestSureLossProperties:
     @given(table=odds_tables(max_size=5), data=st.data())
     def test_sign_check_equivalent_to_mass_comparison(self, table, data):
         target = table.space[data.draw(st.integers(0, len(table.space) - 1))]
-        gamble = table.gamble(target)
+        gamble = table.gambles()[target.index]
         p = data.draw(distributions(len(table.space)))
         mass = table.odds_for(target).upper_mass
         assert expectation_sign_check(gamble, p) == (p[target.index] <= mass)
@@ -470,7 +469,7 @@ class TestCouponProperties:
             for coupon in table.space
             if coupon != first
         ]
-        scale, values = scaled_coupon_values(
+        scale, values, _ = scaled_coupon_values(
             table, CouponRules(max_coupon_value=cap)
         )
         assert [(Fraction(v, scale), i, j) for v, i, j in values] == expected
@@ -512,7 +511,12 @@ class TestIntegerSweep:
     def test_integer_sweep_equals_the_fraction_sweep(self, table, cap):
         rules = CouponRules(max_coupon_value=cap)
         expected = coupon_values_by_fractions(table, rules)
-        scale, values = scaled_coupon_values(table, rules)
+        scale, values, capped = scaled_coupon_values(table, rules)
+        assert capped == [
+            i
+            for i, o in enumerate(table.odds)
+            if cap is not None and o.denominator > cap
+        ]
         assert scale > 0
         assert all(type(v) is int for v, _, _ in values)
         assert [(Fraction(v, scale), i, j) for v, i, j in values] == expected

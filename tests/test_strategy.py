@@ -9,17 +9,15 @@ from dutchbook import (
     OutcomeSpace,
     StakeSystemError,
     SureLossError,
-    UpperPMF,
     best_strategy,
-    certificate_failures,
-    construct_dual,
     first_free_gamble,
-    solve_stakes,
     strategy_for_coupon,
     upper_natural_extension,
     upper_pmf_from_odds,
     verify_certificate,
 )
+from dutchbook.choquet import UpperPMF, construct_dual
+from dutchbook.strategy import certificate_failures, solve_stakes
 from oracles import choquet_by_levels, combined_payoffs, dual_by_fractions
 
 WDL = OutcomeSpace.from_labels(["W", "D", "L"])
@@ -38,7 +36,7 @@ class TestOrderOutcomes:
         assert order_of(G_DL) == (0, 2, 1)
 
     def test_constant_gamble_keeps_index_order(self):
-        assert order_of(Gamble.constant(WDL, 3)) == (0, 1, 2)
+        assert order_of(Gamble(WDL, (3, 3, 3))) == (0, 1, 2)
 
     def test_wide_field_order(self, bet2):
         space = bet2.space
@@ -78,9 +76,10 @@ class TestConstructDual:
 
     def test_constant_gamble_fills_greedily_in_index_order(self):
         pmf = UpperPMF(WDL, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 2)))
-        dual = construct_dual(pmf, Gamble.constant(WDL, 1))
+        ones = Gamble(WDL, (1, 1, 1))
+        dual = construct_dual(pmf, ones)
         assert dual.p == (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
-        assert dual.expectation(Gamble.constant(WDL, 1)) == 1
+        assert dual.expectation(ones) == 1
 
     def test_wide_field_dual(self, bet2):
         space = bet2.space
@@ -94,10 +93,10 @@ class TestConstructDual:
         spain = space.outcome("Spain")
         for outcome in space:
             if outcome == spain:
-                leftover = 1 - (pmf.total() - pmf.mass(spain))
+                leftover = 1 - (pmf.total() - pmf.masses[spain.index])
                 assert dual.p[outcome.index] == leftover
             else:
-                assert dual.p[outcome.index] == pmf.mass(outcome)
+                assert dual.p[outcome.index] == pmf.masses[outcome.index]
 
     def test_attains_choquet_value(self, forest):
         pmf = upper_pmf_from_odds(forest)
@@ -153,7 +152,7 @@ class TestSolveStakes:
         # a fair book prices one of its own gambles at exactly zero; the
         # slackness system is rank deficient but still yields stakes
         table = table_of({"A": "1/1", "B": "1/1"})
-        gamble = table.gamble(table.space.outcome("A"))
+        gamble = table.gambles()[0]
         pmf = upper_pmf_from_odds(table)
         assert upper_natural_extension(pmf, gamble) == 0
         dual = construct_dual(pmf, gamble)

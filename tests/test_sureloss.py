@@ -6,8 +6,6 @@ from dutchbook import (
     FractionalOdds,
     Gamble,
     Market,
-    OddsTable,
-    OutcomeSpace,
     check_asl_market,
     check_asl_single,
     expectation_sign_check,
@@ -39,7 +37,8 @@ class TestUpperPmfFromOdds:
 
     def test_bet2_france(self, bet2):
         pmf = upper_pmf_from_odds(bet2)
-        assert pmf.mass(bet2.space.outcome("France")) == Fraction(1, 4)
+        france = bet2.space.outcome("France")
+        assert pmf.masses[france.index] == Fraction(1, 4)
 
 
 class TestCheckASLSingle:
@@ -97,13 +96,10 @@ class TestMaxOdds:
         market = Market(forest.space, (forest,))
         assert max_odds(market).odds == forest.odds
 
-    def test_tie_keeps_first_bookmaker_quote(self):
-        space = OutcomeSpace.from_labels(["A", "B"])
-        first = OddsTable.from_mapping("first", space, {"A": "2/1", "B": "1/1"})
-        second = OddsTable.from_mapping(
-            "second", space, {"A": "4/2", "B": "1/1"}
-        )
-        best = max_odds(Market(space, (first, second)))
+    def test_tie_keeps_first_bookmaker_quote(self, table_of):
+        first = table_of({"A": "2/1", "B": "1/1"}, "first")
+        second = table_of({"A": "4/2", "B": "1/1"}, "second")
+        best = max_odds(Market(first.space, (first, second)))
         assert best.odds[0] == FractionalOdds(2, 1)
 
     def test_euro_maxima(self, euro_market):
@@ -132,13 +128,14 @@ class TestCheckASLMarket:
             expectation_sign_check(g, verdict.witness) for g in forest.gambles()
         )
 
-    def test_cross_book_combination_can_fail_when_each_table_passes(self):
-        space = OutcomeSpace.from_labels(["A", "B"])
-        one = OddsTable.from_mapping("one", space, {"A": "2/1", "B": "1/2"})
-        two = OddsTable.from_mapping("two", space, {"A": "1/2", "B": "2/1"})
+    def test_cross_book_combination_can_fail_when_each_table_passes(
+        self, table_of
+    ):
+        one = table_of({"A": "2/1", "B": "1/2"}, "one")
+        two = table_of({"A": "1/2", "B": "2/1"}, "two")
         assert check_asl_single(one).avoids
         assert check_asl_single(two).avoids
-        verdict = check_asl_market(Market(space, (one, two)))
+        verdict = check_asl_market(Market(one.space, (one, two)))
         assert not verdict.avoids
         assert verdict.total == Fraction(2, 3)
 
@@ -154,21 +151,16 @@ class TestCheckASLMarket:
             },
         ],
     )
-    def test_verdict_matches_feasibility_oracle(self, quotes):
-        labels = list(next(iter(quotes.values())))
-        space = OutcomeSpace.from_labels(labels)
-        tables = tuple(
-            OddsTable.from_mapping(name, space, odds)
-            for name, odds in quotes.items()
-        )
-        market = Market(space, tables)
+    def test_verdict_matches_feasibility_oracle(self, quotes, table_of):
+        tables = tuple(table_of(odds, name) for name, odds in quotes.items())
+        market = Market(tables[0].space, tables)
         rows = [g.payoffs for t in tables for g in t.gambles()]
         assert check_asl_market(market).avoids == pmf_exists_for(rows)
 
 
 class TestExpectationSignCheck:
     def test_uniform_distribution_rejects_draw_gamble(self, forest):
-        g_d = forest.gamble(forest.space.outcome("D"))
+        g_d = forest.gambles()[1]
         uniform = [Fraction(1, 3)] * 3
         assert not expectation_sign_check(g_d, uniform)
         # equivalent mass comparison: 1/3 > 5/18
@@ -180,13 +172,13 @@ class TestExpectationSignCheck:
         assert expectation_sign_check(g, [1, 0, 0])
 
     def test_boundary_mass_passes_exactly(self, forest):
-        g_d = forest.gamble(forest.space.outcome("D"))
+        g_d = forest.gambles()[1]
         p = [Fraction(1, 2), Fraction(5, 18), Fraction(2, 9)]
         assert sum(p) == 1
         assert expectation_sign_check(g_d, p)
 
     def test_invalid_distribution_rejected(self, forest):
-        g = forest.gamble(forest.space.outcome("W"))
+        g = forest.gambles()[0]
         with pytest.raises(ValueError):
             expectation_sign_check(g, [Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)])
         with pytest.raises(ValueError):
