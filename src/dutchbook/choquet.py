@@ -207,11 +207,6 @@ class DualSolution:
     k_prime: int
     value: Rational
 
-    def expectation(self, gamble: Gamble) -> Rational:
-        return sum(
-            (w * v for w, v in zip(self.p, gamble.payoffs)), Fraction(0)
-        )
-
 
 def construct_dual(pmf: UpperPMF, gamble: Gamble) -> DualSolution:
     """Fill probability mass greedily onto the highest payoffs, up to the caps.
@@ -234,46 +229,65 @@ def construct_dual(pmf: UpperPMF, gamble: Gamble) -> DualSolution:
     cap`` read exactly as in rationals, the leftover is ``left/L`` and
     the price, a sum of ``M_k·P_k`` terms, is an int over ``L·D``.
     """
+    ordering, k, left, value = _fill(pmf, gamble, 1)
+    masses = pmf.masses
+    cap_scale, caps = pmf.scaled_masses
+    p = [Fraction(0)] * len(masses)
+    for index in ordering[: k - 1]:
+        p[index] = masses[index]
+    index = ordering[k - 1]
+    p[index] = Fraction(left, cap_scale)
+    k_prime = k if left == caps[index] else k - 1
+    return DualSolution(ordering, tuple(p), k, k_prime, value)
+
+
+def _fill(
+    pmf: UpperPMF, gamble: Gamble, sign: int
+) -> tuple[tuple[int, ...], int, int, Rational]:
+    """The greedy fill of :func:`construct_dual` on ``sign·gamble``.
+
+    Returns ``(ordering, k, left, price)``, ``left`` being the mass left
+    for position ``k`` as an int over ``L``.  ``sign = −1`` fills the
+    negated gamble on the negated ints, with no negated ``Gamble`` built.
+    """
     if gamble.space != pmf.space:
         raise ValueError("gamble and pmf are over different outcome spaces")
     if not pmf.avoids_sure_loss:
         raise SureLossError(pmf.total())
     payoffs = gamble.payoffs
     payoff_scale = lcm(*(v.denominator for v in payoffs))
-    scaled = [v.numerator * (payoff_scale // v.denominator) for v in payoffs]
+    scaled = [
+        sign * v.numerator * (payoff_scale // v.denominator) for v in payoffs
+    ]
     ordering = tuple(
         sorted(range(len(scaled)), key=scaled.__getitem__, reverse=True)
     )
-    masses = pmf.masses
     cap_scale, caps = pmf.scaled_masses
-    p = [Fraction(0)] * len(scaled)
     value = 0
     left = cap_scale
     for k, index in enumerate(ordering, start=1):
         cap = caps[index]
         if cap >= left:  # caps total at least 1, so this is always reached
             break
-        p[index] = masses[index]
         value += cap * scaled[index]
         left -= cap
-    p[index] = Fraction(left, cap_scale)
-    k_prime = k if left == cap else k - 1
     value = Fraction(value + left * scaled[index], cap_scale * payoff_scale)
-    return DualSolution(ordering, tuple(p), k, k_prime, value)
+    return ordering, k, left, value
 
 
 def upper_natural_extension(pmf: UpperPMF, gamble: Gamble) -> Rational:
     """Least selling price for ``gamble`` consistent with the caps: the
-    value of the greedy dual, :func:`construct_dual`.
+    value of the greedy dual, :func:`construct_dual`, without its masses.
 
     >>> space = OutcomeSpace.from_labels(["W", "D", "L"])
     >>> pmf = UpperPMF(space, (Fraction(4, 7), Fraction(5, 18), Fraction(5, 21)))
     >>> upper_natural_extension(pmf, Gamble(space, (5, -13, -11)))
     Fraction(-47, 21)
     """
-    return construct_dual(pmf, gamble).value
+    return _fill(pmf, gamble, 1)[3]
 
 
 def lower_natural_extension(pmf: UpperPMF, gamble: Gamble) -> Rational:
-    """Greatest buying price for ``gamble``: the conjugate of the upper price."""
-    return -upper_natural_extension(pmf, -gamble)
+    """Greatest buying price for ``gamble``: the conjugate of the upper
+    price, ``−upper(−gamble)``, filled on the negated scaled payoffs."""
+    return -_fill(pmf, gamble, -1)[3]

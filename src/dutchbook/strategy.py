@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from math import lcm
 
 from .choquet import DualSolution, construct_dual
 from .coupons import (
@@ -85,45 +86,79 @@ def solve_stakes(
     The result is still checked: every stake must be non-negative and
     the combined payoff must top out at exactly ``α``; otherwise, as for
     a dual built for another gamble,
-    :class:`~dutchbook.errors.StakeSystemError` is raised.
+    :class:`~dutchbook.errors.StakeSystemError` is raised.  A gamble or
+    dual over another outcome space is a ``ValueError``.
+
+    Why the integers are exact.  ``p`` is over ``P``, the lcm of its
+    denominators, and the payoffs ``F_w/D`` over ``D``, the lcm of
+    theirs, so with ``G = P·D`` both ``α = A/G`` and ``c_w = C_w/G`` are
+    ints over ``G``.  The caps are ``M_w/L``
+    (:attr:`~dutchbook.choquet.UpperPMF.scaled_masses`), so ``M_S − 1 =
+    E/L`` with ``E = Σ_S M_w − L`` and ``Σ_S m_w·c_w = N/(L·G)`` with ``N =
+    Σ_S M_w·C_w``, hence ``B = N/(G·E)`` (``C_last/G`` when ``E = 0``).
+    Since ``1/(a_w+b_w) = M_w/(L·b_w)``, each stake is ``X_w·M_w/(G·E·L·b_w)``
+    with ``X_w = N − C_w·E``: one ``Fraction`` from an int numerator, whose
+    sign is that of ``X_w`` once ``E`` is made positive.  The kept stakes
+    ``Σ s_w·b_w`` are ``Σ X_w·M_w`` over ``G·E·L``, and every row in S
+    pays ``α`` plus that less ``B``, so the maximum is compared with ``α``
+    as ints over that positive scale.
     """
     space = table.space
-    odds = table.odds
-    alpha = dual.expectation(gamble)
-    support = dual.ordering[: dual.k_prime]
-    slack = [alpha - gamble.payoffs[w] for w in support]
-    spread = [odds[w].numerator + odds[w].denominator for w in support]
-    caps = [odds[w].upper_mass for w in support]
-    weighted = sum((m * c for m, c in zip(caps, slack)), Fraction(0))
-    excess = sum(caps, Fraction(0)) - 1
-    if excess:  # bank is the B above
-        bank = weighted / excess
-    elif weighted:
-        raise StakeSystemError(
-            "complementary-slackness system is inconsistent with the dual"
+    p = dual.p
+    if gamble.space != space or len(p) != len(space):
+        raise ValueError(
+            "gamble, dual and table are over different outcome spaces"
         )
-    else:
-        bank = slack[-1]
+    odds = table.odds
+    p_scale = lcm(*(q.denominator for q in p))
+    payoff_scale = lcm(*(v.denominator for v in gamble.payoffs))
+    payoffs = [
+        v.numerator * (payoff_scale // v.denominator) for v in gamble.payoffs
+    ]
+    objective = sum(
+        q.numerator * (p_scale // q.denominator) * f for q, f in zip(p, payoffs)
+    )
+    scale = p_scale * payoff_scale  # G
+    alpha = Fraction(objective, scale)
+    support = dual.ordering[: dual.k_prime]
+    cap_scale, masses = upper_pmf_from_odds(table).scaled_masses
+    slack = [objective - payoffs[w] * p_scale for w in support]
+    caps = [masses[w] for w in support]
+    excess = sum(caps) - cap_scale  # E
+    bank = sum(m * c for m, c in zip(caps, slack))  # N, so B = N/(G·E)
+    if excess < 0:
+        bank, excess = -bank, -excess
+    elif not excess:
+        if bank:
+            raise StakeSystemError(
+                "complementary-slackness system is inconsistent with the dual"
+            )
+        bank, excess = slack[-1], 1
+    stake_scale = scale * excess * cap_scale  # G·E·L
     stakes = [Fraction(0)] * len(space)
-    for position, (w, c, d) in enumerate(zip(support, slack, spread), start=1):
-        if bank == c:  # keep the shared zero rather than build another
+    kept = 0  # Σ s_w·b_w, times G·E·L
+    for position, (w, c, m) in enumerate(zip(support, slack, caps), start=1):
+        x = bank - c * excess
+        if not x:  # keep the shared zero rather than build another
             continue
-        stakes[w] = (bank - c) / d
-        if stakes[w] < 0:
+        b = odds[w].denominator
+        stakes[w] = Fraction(x * m * b.denominator, stake_scale * b.numerator)
+        if x < 0:
             raise StakeSystemError(
                 f"stake for ordered position {position} "
                 f"({space[w].label}) is negative: {stakes[w]}"
             )
-    kept = sum((s * o.denominator for s, o in zip(stakes, odds)), Fraction(0))
-    combined = [
-        f + kept - s * (o.numerator + o.denominator)
-        for f, s, o in zip(gamble.payoffs, stakes, odds)
-    ]
-    if max(combined) != alpha:
+        kept += x * m
+    # rows in S pay α + kept − B; rows outside pay f_w + kept
+    top = [(objective * excess - bank) * cap_scale] if support else []
+    outside = dual.ordering[dual.k_prime :]
+    if outside:
+        top.append(max(payoffs[w] for w in outside) * p_scale * excess * cap_scale)
+    if max(top) + kept != objective * excess * cap_scale:
         raise StakeSystemError(
             "stake solution does not attain the optimal value at its maximum"
         )
-    gain = -alpha if alpha < 0 else Fraction(0)
+    gain = -alpha if objective < 0 else Fraction(0)
     return StrategyReport(None, None, alpha, tuple(stakes), gain, dual)
 
 
@@ -137,51 +172,86 @@ def certificate_failures(
     negative, and the bookmaker's combined payoff is at most alpha at
     every outcome), and both objectives equal alpha.  Feasible pair +
     equal objectives is a complete optimality proof by weak duality.
+    A gamble over another outcome space certifies nothing.
+
+    Why the integers are exact.  ``p`` is read over ``P``, the lcm of its
+    denominators, and checked against the caps ``M_w/L``
+    (:attr:`~dutchbook.choquet.UpperPMF.scaled_masses`) over ``P·L``.
+    Alpha, the stakes and the payoffs are read over ``V``, the lcm of
+    their denominators, and the odds components over ``O``, the lcm of
+    theirs (1 for quoted odds).  A combined payoff
+    ``f_w + Σ s_i·b_i − s_w·(a_w+b_w)`` is then an int over ``V·O``, the
+    objective ``Σ p_w·f_w`` an int over ``P·V``, and every scale is
+    positive, so each comparison reads as in rationals.  A value becomes
+    a ``Fraction`` only in the message of a failed check.
     """
-    failures = []
     space = table.space
-    pmf = upper_pmf_from_odds(table)
+    n = len(space)
     p = report.certificate.p
-    if len(p) != len(space):
-        return [f"dual vector has {len(p)} entries for {len(space)} outcomes"]
-    if len(report.stakes) != len(space):
+    stakes = report.stakes
+    if len(p) != n:
+        return [f"dual vector has {len(p)} entries for {n} outcomes"]
+    if len(stakes) != n:
+        return [f"stake vector has {len(stakes)} entries for {n} outcomes"]
+    if gamble.space != space:
         return [
-            f"stake vector has {len(report.stakes)} entries for "
-            f"{len(space)} outcomes"
+            f"gamble is over another outcome space ({len(gamble.space)} "
+            f"outcomes, the table's {n})"
         ]
-    if sum(p, Fraction(0)) != 1:
-        failures.append(f"dual masses sum to {sum(p, Fraction(0))}, not 1")
-    for outcome in space:
-        if not 0 <= p[outcome.index] <= pmf.masses[outcome.index]:
+    failures = []
+    alpha = report.alpha
+    pmf = upper_pmf_from_odds(table)
+    cap_scale, caps = pmf.scaled_masses
+    p_scale = lcm(*(q.denominator for q in p))
+    dual = [q.numerator * (p_scale // q.denominator) for q in p]
+    if sum(dual) != p_scale:
+        failures.append(f"dual masses sum to {Fraction(sum(dual), p_scale)}, not 1")
+    for outcome, q, d, mass, cap in zip(space, p, dual, pmf.masses, caps):
+        if d < 0 or d * cap_scale > cap * p_scale:
             failures.append(
-                f"dual mass for {outcome.label} is {p[outcome.index]}, "
-                f"outside [0, {pmf.masses[outcome.index]}]"
+                f"dual mass for {outcome.label} is {q}, outside [0, {mass}]"
             )
-    for outcome, stake in zip(space, report.stakes):
-        if stake < 0:
+    value_scale = lcm(
+        alpha.denominator,
+        *(s.denominator for s in stakes),
+        *(v.denominator for v in gamble.payoffs),
+    )
+    odds_scale = lcm(
+        *(q.denominator for o in table.odds for q in (o.numerator, o.denominator))
+    )
+    scaled = [s.numerator * (value_scale // s.denominator) for s in stakes]
+    for outcome, stake, s in zip(space, stakes, scaled):
+        if s < 0:
             failures.append(f"stake on {outcome.label} is negative: {stake}")
+    kept_odds = [
+        o.denominator.numerator * (odds_scale // o.denominator.denominator)
+        for o in table.odds
+    ]
+    lost_odds = [
+        o.numerator.numerator * (odds_scale // o.numerator.denominator)
+        for o in table.odds
+    ]
+    payoffs = [
+        v.numerator * (value_scale // v.denominator) for v in gamble.payoffs
+    ]
     # stake s_i at odds a_i/b_i keeps b_i unless outcome i comes up, when
     # it pays a_i instead: b_i·1 − (a_i+b_i)·e_i, as in gamble_from_odds
-    kept = sum(
-        (s * o.denominator for s, o in zip(report.stakes, table.odds)),
-        Fraction(0),
-    )
-    combined = [
-        f + kept - s * (o.numerator + o.denominator)
-        for f, s, o in zip(gamble.payoffs, report.stakes, table.odds)
-    ]
-    for outcome, value in zip(space, combined):
-        if value > report.alpha:
+    kept = sum(s * b for s, b in zip(scaled, kept_odds))
+    alpha_v = alpha.numerator * (value_scale // alpha.denominator)
+    limit = alpha_v * odds_scale
+    for outcome, f, s, a, b in zip(space, payoffs, scaled, lost_odds, kept_odds):
+        value = f * odds_scale + kept - s * (a + b)
+        if value > limit:
             failures.append(
-                f"combined payoff at {outcome.label} is {value} > alpha "
-                f"{report.alpha}: stake vector is infeasible"
+                f"combined payoff at {outcome.label} is "
+                f"{Fraction(value, value_scale * odds_scale)} > alpha "
+                f"{alpha}: stake vector is infeasible"
             )
-    objective = sum(
-        (w * v for w, v in zip(p, gamble.payoffs)), Fraction(0)
-    )
-    if objective != report.alpha:
+    objective = sum(q * f for q, f in zip(dual, payoffs))
+    if objective != alpha_v * p_scale:
         failures.append(
-            f"dual objective {objective} differs from alpha {report.alpha}"
+            f"dual objective {Fraction(objective, p_scale * value_scale)} "
+            f"differs from alpha {alpha}"
         )
     return failures
 

@@ -14,12 +14,14 @@ from itertools import combinations
 from dutchbook import (
     BaseOddsSureLossError,
     Gamble,
+    StakeSystemError,
     SureLossError,
     check_asl_single,
     decompose,
     upper_event,
 )
 from dutchbook.choquet import DualSolution
+from dutchbook.strategy import StrategyReport
 
 
 def solve_exact(rows, rhs):
@@ -162,6 +164,11 @@ def certificate_failures_by_expansion(table, gamble, report):
             f"stake vector has {len(report.stakes)} entries for "
             f"{len(space)} outcomes"
         ]
+    if gamble.space != space:
+        return [
+            f"gamble is over another outcome space ({len(gamble.space)} "
+            f"outcomes, the table's {len(space)})"
+        ]
     failures = []
     if sum(p, Fraction(0)) != 1:
         failures.append(f"dual masses sum to {sum(p, Fraction(0))}, not 1")
@@ -188,6 +195,52 @@ def certificate_failures_by_expansion(table, gamble, report):
             f"dual objective {objective} differs from alpha {report.alpha}"
         )
     return failures
+
+
+def solve_stakes_by_fractions(table, gamble, dual):
+    """Reference for ``strategy.solve_stakes``: the same closed form and
+    checks in ``Fraction`` arithmetic on the caps, the slacks and the
+    combined payoff of every outcome, without the integer scales."""
+    space = table.space
+    if gamble.space != space or len(dual.p) != len(space):
+        raise ValueError("gamble, dual and table are over different outcome spaces")
+    odds = table.odds
+    alpha = sum((w * v for w, v in zip(dual.p, gamble.payoffs)), Fraction(0))
+    support = dual.ordering[: dual.k_prime]
+    slack = [alpha - gamble.payoffs[w] for w in support]
+    spread = [odds[w].numerator + odds[w].denominator for w in support]
+    caps = [odds[w].upper_mass for w in support]
+    weighted = sum((m * c for m, c in zip(caps, slack)), Fraction(0))
+    excess = sum(caps, Fraction(0)) - 1
+    if excess:
+        bank = weighted / excess
+    elif weighted:
+        raise StakeSystemError(
+            "complementary-slackness system is inconsistent with the dual"
+        )
+    else:
+        bank = slack[-1]
+    stakes = [Fraction(0)] * len(space)
+    for position, (w, c, d) in enumerate(zip(support, slack, spread), start=1):
+        if bank == c:
+            continue
+        stakes[w] = (bank - c) / d
+        if stakes[w] < 0:
+            raise StakeSystemError(
+                f"stake for ordered position {position} "
+                f"({space[w].label}) is negative: {stakes[w]}"
+            )
+    kept = sum((s * o.denominator for s, o in zip(stakes, odds)), Fraction(0))
+    combined = [
+        f + kept - s * (o.numerator + o.denominator)
+        for f, s, o in zip(gamble.payoffs, stakes, odds)
+    ]
+    if max(combined) != alpha:
+        raise StakeSystemError(
+            "stake solution does not attain the optimal value at its maximum"
+        )
+    gain = -alpha if alpha < 0 else Fraction(0)
+    return StrategyReport(None, None, alpha, tuple(stakes), gain, dual)
 
 
 def coupon_values_by_fractions(table, rules):

@@ -246,7 +246,8 @@ def test_criterion_8a_duality_identity():
         for _ in range(1000):
             pmf, gamble = _random_pmf_gamble(rng)
             dual = construct_dual(pmf, gamble)
-            assert dual.expectation(gamble) == upper_natural_extension(pmf, gamble)
+            expectation = sum(w * v for w, v in zip(dual.p, gamble.payoffs))
+            assert expectation == upper_natural_extension(pmf, gamble)
 
 
 def test_criterion_8b_choquet_operator_laws():

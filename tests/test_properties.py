@@ -14,6 +14,7 @@ from dutchbook import (
     Market,
     OddsTable,
     OutcomeSpace,
+    StakeSystemError,
     SureLossError,
     best_strategy,
     check_asl_market,
@@ -44,6 +45,7 @@ from oracles import (
     gamble_from_levels,
     pmf_exists_for,
     solve_exact,
+    solve_stakes_by_fractions,
     upper_extension_vertices,
 )
 
@@ -110,6 +112,11 @@ def solvent_tables(draw, min_size=2, max_size=5):
 
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43)
+LARGE_PRIMES = (1_000_003, 2_147_483_647, 2**61 - 1, 2**89 - 1)
+# rationals whose denominators are large primes
+large_prime_fractions = st.builds(
+    Fraction, st.integers(-(10**6), 10**6), st.sampled_from(LARGE_PRIMES)
+)
 # coupon caps that are not whole stakes
 coupon_caps = st.none() | st.fractions(
     min_value=Fraction(1, 4), max_value=8, max_denominator=7
@@ -274,7 +281,7 @@ class TestChoquetProperties:
         assert all(
             0 <= p <= m for p, m in zip(dual.p, pmf.masses)
         )
-        assert dual.value == dual.expectation(gamble)
+        assert dual.value == sum(w * v for w, v in zip(dual.p, gamble.payoffs))
         assert dual.value == choquet_by_levels(pmf, gamble)
         assert upper_natural_extension(pmf, gamble) == dual.value
 
@@ -631,11 +638,77 @@ class TestStrategyProperties:
             stakes[data.draw(st.integers(0, len(stakes) - 1))] += data.draw(
                 rationals
             )
+        p = list(report.certificate.p)
+        n = len(p)
+        tamper_p = data.draw(st.sampled_from(("none", "move", "arbitrary")))
+        if tamper_p == "move":  # the sum stays 1; a cap or the sign may break
+            i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+            shift = data.draw(rationals | large_prime_fractions)
+            p[i] += shift
+            p[j] -= shift
+        elif tamper_p == "arbitrary":
+            p[data.draw(st.integers(0, n - 1))] = data.draw(
+                nonneg_rationals | large_prime_fractions
+            )
         report = replace(
             report,
             stakes=tuple(stakes),
-            alpha=report.alpha + data.draw(st.just(0) | rationals),
+            alpha=report.alpha
+            + data.draw(st.just(0) | rationals | large_prime_fractions),
+            certificate=replace(report.certificate, p=tuple(p)),
         )
         assert certificate_failures(
             table, gamble, report
         ) == certificate_failures_by_expansion(table, gamble, report)
+
+    @settings(max_examples=150)
+    @given(
+        system=stake_systems(),
+        other=st.none() | st.lists(rationals, min_size=6, max_size=6),
+    )
+    @example(  # rational odds components
+        system=(
+            OddsTable(
+                "Book",
+                _space(3),
+                (
+                    FractionalOdds(Fraction(1, 2), Fraction(2, 3)),
+                    FractionalOdds(Fraction(3, 2), Fraction(5, 3)),
+                    FractionalOdds(Fraction(7, 3), Fraction(1, 2)),
+                ),
+            ),
+            Gamble(_space(3), (5, -13, Fraction(-11, 3))),
+        ),
+        other=None,
+    )
+    @example(  # caps 3/7, 5/11 and 4/13: distinct prime denominators
+        system=(_table("4/3", "6/5", "9/4"), Gamble(_space(3), (1, -2, 3))),
+        other=None,
+    )
+    @example(  # the caps of S sum to exactly 1: the degenerate branch
+        system=(_table("1/1", "1/1", "2/1"), Gamble(_space(3), (3, 2, 1))),
+        other=None,
+    )
+    @example(  # a dual built for another gamble
+        system=(_table("3/4", "13/5", "16/5"), Gamble(_space(3), (5, -13, -11))),
+        other=[-20, 4, 4, 0, 0, 0],
+    )
+    def test_integer_stakes_equal_the_fraction_stakes(self, system, other):
+        # alpha, every stake and the gain, or the StakeSystemError message
+        table, gamble = system
+        priced = gamble
+        if other is not None:
+            priced = Gamble(gamble.space, tuple(other[: len(gamble.space)]))
+        dual = construct_dual(upper_pmf_from_odds(table), priced)
+
+        def outcome(solve):
+            try:
+                report = solve(table, gamble, dual)
+            except StakeSystemError as error:
+                return str(error)
+            return report.alpha, report.stakes, report.guaranteed_gain
+
+        result = outcome(solve_stakes)
+        assert result == outcome(solve_stakes_by_fractions)
+        if not isinstance(result, str):
+            assert all(type(s) is Fraction for s in result[1])

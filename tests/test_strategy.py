@@ -17,8 +17,15 @@ from dutchbook import (
     verify_certificate,
 )
 from dutchbook.choquet import UpperPMF, construct_dual
+from dutchbook.coupons import scaled_coupon_values
 from dutchbook.strategy import certificate_failures, solve_stakes
-from oracles import choquet_by_levels, combined_payoffs, dual_by_fractions
+from oracles import (
+    certificate_failures_by_expansion,
+    choquet_by_levels,
+    combined_payoffs,
+    dual_by_fractions,
+    solve_stakes_by_fractions,
+)
 
 WDL = OutcomeSpace.from_labels(["W", "D", "L"])
 G_DL = Gamble(WDL, (5, -13, -11))
@@ -72,14 +79,14 @@ class TestConstructDual:
         assert dual.p == (Fraction(4, 7), Fraction(4, 21), Fraction(5, 21))
         assert dual.k == 3
         assert dual.k_prime == 2
-        assert dual.expectation(G_DL) == Fraction(-47, 21)
+        assert sum(w * v for w, v in zip(dual.p, G_DL.payoffs)) == Fraction(-47, 21)
 
     def test_constant_gamble_fills_greedily_in_index_order(self):
         pmf = UpperPMF(WDL, (Fraction(1, 2), Fraction(1, 3), Fraction(1, 2)))
         ones = Gamble(WDL, (1, 1, 1))
         dual = construct_dual(pmf, ones)
         assert dual.p == (Fraction(1, 2), Fraction(1, 3), Fraction(1, 6))
-        assert dual.expectation(ones) == 1
+        assert sum(w * v for w, v in zip(dual.p, ones.payoffs)) == 1
 
     def test_wide_field_dual(self, bet2):
         space = bet2.space
@@ -103,7 +110,7 @@ class TestConstructDual:
         for payoffs in [(5, -13, -11), (0, 1, -1), (3, 3, 3), (-2, 5, 0)]:
             gamble = Gamble(WDL, payoffs)
             dual = construct_dual(pmf, gamble)
-            assert dual.value == dual.expectation(gamble)
+            assert dual.value == sum(w * v for w, v in zip(dual.p, gamble.payoffs))
             assert dual.value == choquet_by_levels(pmf, gamble)
             assert upper_natural_extension(pmf, gamble) == dual.value
 
@@ -169,6 +176,60 @@ class TestSolveStakes:
             solve_stakes(forest, G_DL, dual)
 
 
+    def test_integer_stakes_equal_the_fraction_stakes_on_the_euro_books(
+        self, euro_market, bet2
+    ):
+        space = bet2.space
+        cases = [
+            (bet2, first_free_gamble(bet2, first, coupon).gamble)
+            for first in space
+            for coupon in space
+            if first != coupon
+        ]
+        assert len(cases) == 552
+        for table in euro_market.tables:  # each book's best pair
+            _, values, _ = scaled_coupon_values(table)
+            _, i, j = min(values)
+            ffg = first_free_gamble(table, table.space[i], table.space[j])
+            cases.append((table, ffg.gamble))
+        for table, gamble in cases:
+            dual = construct_dual(upper_pmf_from_odds(table), gamble)
+            report = solve_stakes(table, gamble, dual)
+            assert report == solve_stakes_by_fractions(table, gamble, dual)
+            assert all(type(s) is Fraction for s in report.stakes)
+
+
+class TestOtherOutcomeSpace:
+    """Bet12's strategy for first bet France, coupon Albania, against a
+    gamble holding only the first 23 of its 24 payoffs."""
+
+    @pytest.fixture
+    def case(self, euro_market):
+        table = euro_market.table("Bet12")
+        space = table.space
+        ffg = first_free_gamble(
+            table, space.outcome("France"), space.outcome("Albania")
+        )
+        report = strategy_for_coupon(table, ffg)
+        short = Gamble(OutcomeSpace(space.outcomes[:23]), ffg.gamble.payoffs[:23])
+        return table, short, report
+
+    def test_certificate_fails(self, case):
+        table, short, report = case
+        expected = [
+            "gamble is over another outcome space (23 outcomes, the table's 24)"
+        ]
+        assert certificate_failures(table, short, report) == expected
+        assert certificate_failures_by_expansion(table, short, report) == expected
+        assert not verify_certificate(table, short, report)
+
+    def test_stake_solve_refuses(self, case):
+        table, short, report = case
+        for solve in (solve_stakes, solve_stakes_by_fractions):
+            with pytest.raises(ValueError, match="different outcome spaces"):
+                solve(table, short, report.certificate)
+
+
 class TestVerifyCertificate:
     def test_forest_report_verifies(self, forest):
         report = solve_stakes(
@@ -194,6 +255,22 @@ class TestVerifyCertificate:
         failures = certificate_failures(forest, G_DL, tampered)
         assert failures  # dual objective no longer matches alpha
         assert not verify_certificate(forest, G_DL, tampered)
+
+    def test_alpha_below_by_one_part_in_a_large_prime_fails(self, table_of):
+        # integer stakes and payoffs: every combined payoff exceeds the
+        # shifted alpha by exactly one unit of the certificate's scale
+        table = table_of({"A": "1/1", "B": "1/1"})
+        gamble = table.gambles()[0]
+        report = solve_stakes(
+            table, gamble, construct_dual(upper_pmf_from_odds(table), gamble)
+        )
+        tampered = replace(report, alpha=report.alpha - Fraction(1, 2**61 - 1))
+        failures = certificate_failures(table, gamble, tampered)
+        assert failures == certificate_failures_by_expansion(table, gamble, tampered)
+        assert [f.split(" is ")[0] for f in failures[:2]] == [
+            "combined payoff at A",
+            "combined payoff at B",
+        ]
 
     def test_tampered_dual_fails(self, forest):
         report = solve_stakes(
