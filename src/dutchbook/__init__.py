@@ -1,8 +1,9 @@
 """Exact sure-loss detection for fractional betting odds and free coupons.
 
-Everything is computed in exact rational arithmetic: verdicts, prices,
-stakes and their optimality certificates are Fractions end to end, and
-decimals only appear in display helpers.
+Everything is exact.  The API takes and returns Fractions; the pricing,
+the stake solve and the certificate check run on Python ints over exact
+common denominators (:func:`dutchbook.model.scaled`), and decimals only
+appear in display helpers.
 
 The top level re-exports the model types, the coupon rules, every error
 class and the functions the README and the demos use; the rest of the

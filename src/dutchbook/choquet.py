@@ -10,14 +10,7 @@ the same number and is kept for reports.  Both are only valid while the
 caps total at least 1; below that the bounds themselves are exploitable
 and :class:`~dutchbook.errors.SureLossError` is raised.  The filled
 distribution is also the optimal dual that :mod:`dutchbook.strategy`
-derives stakes from.
-
-The fill runs on Python ints and stays exact.  Every cap is ``M_k/L``
-with ``L`` the lcm of the cap denominators, and every payoff is
-``P_k/D`` with ``D`` the lcm of the payoff denominators.  Both scales
-are positive, so the ints order the outcomes as the rationals do, ties
-included, and each step of the fill (a cap against the mass left, a
-cap times a payoff) is an integer over ``L`` or ``L·D``.
+derives stakes from, on :func:`~dutchbook.model.scaled` ints.
 """
 
 from __future__ import annotations
@@ -26,11 +19,10 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
 from typing import TYPE_CHECKING
 
 from .errors import SureLossError
-from .model import Gamble, Outcome, OutcomeSpace, Rational, as_rational
+from .model import Gamble, Outcome, OutcomeSpace, Rational, as_rational, scaled
 
 if TYPE_CHECKING:
     # kept out of run time: typing caches a subscripted alias for the life
@@ -70,12 +62,9 @@ class UpperPMF:
 
     @cached_property
     def scaled_masses(self) -> tuple[int, tuple[int, ...]]:
-        """``(L, M)``: ``L`` the lcm of the cap denominators and ``M_k =
-        m_k·L`` the caps as ints over it, computed once per cap set."""
-        scale = lcm(*(m.denominator for m in self.masses))
-        return scale, tuple(
-            m.numerator * (scale // m.denominator) for m in self.masses
-        )
+        """``(L, M)``: the caps ``M_k/L`` as :func:`~dutchbook.model.scaled`
+        ints, computed once per cap set."""
+        return scaled(self.masses)
 
     @cached_property
     def witness(self) -> tuple[Rational, ...] | None:
@@ -220,14 +209,8 @@ def construct_dual(pmf: UpperPMF, gamble: Gamble) -> DualSolution:
     slice weight times the slice's upper event probability, in
     O(n log n).  Requires the caps to total at least 1.
 
-    Why the integers are exact.  The caps are ``M_k/L``
-    (:attr:`UpperPMF.scaled_masses`) and the payoffs ``P_k/D``, with
-    ``D`` the lcm of the payoff denominators.  ``D`` is positive, so
-    sorting the ``P_k`` gives the rational order and its ties, and the
-    stable sort keeps the same ``ordering``.  The mass left starts at
-    ``L`` and drops by whole ``M_k``, so ``cap >= left`` and ``left ==
-    cap`` read exactly as in rationals, the leftover is ``left/L`` and
-    the price, a sum of ``M_k·P_k`` terms, is an int over ``L·D``.
+    It runs on :func:`~dutchbook.model.scaled` ints, caps ``M_k/L`` and
+    payoffs ``P_k/D``, so the price is an int over ``L·D``.
     """
     ordering, k, left, value = _fill(pmf, gamble, 1)
     masses = pmf.masses
@@ -244,23 +227,18 @@ def construct_dual(pmf: UpperPMF, gamble: Gamble) -> DualSolution:
 def _fill(
     pmf: UpperPMF, gamble: Gamble, sign: int
 ) -> tuple[tuple[int, ...], int, int, Rational]:
-    """The greedy fill of :func:`construct_dual` on ``sign·gamble``.
-
-    Returns ``(ordering, k, left, price)``, ``left`` being the mass left
-    for position ``k`` as an int over ``L``.  ``sign = −1`` fills the
-    negated gamble on the negated ints, with no negated ``Gamble`` built.
-    """
+    """The greedy fill of :func:`construct_dual` on ``sign·gamble``:
+    ``(ordering, k, left, price)``, ``left`` the mass left for position
+    ``k`` over ``L``.  ``sign = −1`` negates the cached payoff ints."""
     if gamble.space != pmf.space:
         raise ValueError("gamble and pmf are over different outcome spaces")
     if not pmf.avoids_sure_loss:
         raise SureLossError(pmf.total())
-    payoffs = gamble.payoffs
-    payoff_scale = lcm(*(v.denominator for v in payoffs))
-    scaled = [
-        sign * v.numerator * (payoff_scale // v.denominator) for v in payoffs
-    ]
+    payoff_scale, payoffs = gamble.scaled
+    if sign < 0:
+        payoffs = [-v for v in payoffs]
     ordering = tuple(
-        sorted(range(len(scaled)), key=scaled.__getitem__, reverse=True)
+        sorted(range(len(payoffs)), key=payoffs.__getitem__, reverse=True)
     )
     cap_scale, caps = pmf.scaled_masses
     value = 0
@@ -269,9 +247,9 @@ def _fill(
         cap = caps[index]
         if cap >= left:  # caps total at least 1, so this is always reached
             break
-        value += cap * scaled[index]
+        value += cap * payoffs[index]
         left -= cap
-    value = Fraction(value + left * scaled[index], cap_scale * payoff_scale)
+    value = Fraction(value + left * payoffs[index], cap_scale * payoff_scale)
     return ordering, k, left, value
 
 

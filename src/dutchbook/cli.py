@@ -160,15 +160,14 @@ def _cmd_check_asl(args) -> dict:
 
 def _flag_number(flag: str, text: str, expected: str, positive: bool) -> Fraction:
     match = _NUMBER_TEXT.fullmatch(text.strip())
-    try:
-        if match is None:
-            raise ValueError(text)
-        value = Fraction(int(match[1]), int(match[2] or 1))
-        if positive and value <= 0:
-            raise ValueError(text)
-    except (ValueError, ZeroDivisionError):  # int() caps its digits too
-        raise DataError(f"{flag} must be {expected}, got {text!r}") from None
-    return value
+    if match is not None:
+        try:
+            numerator, denominator = int(match[1]), int(match[2] or 1)
+        except ValueError:  # int() reads at most sys.get_int_max_str_digits()
+            raise DataError(f"{flag} number too long: {text[:20]!r}...") from None
+        if denominator and (numerator > 0 or not positive):
+            return Fraction(numerator, denominator)
+    raise DataError(f"{flag} must be {expected}, got {text!r}")
 
 
 def _coupon_rules(text: str | None) -> CouponRules:

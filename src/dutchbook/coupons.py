@@ -13,11 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
 
 from .choquet import upper_natural_extension
 from .errors import BaseOddsSureLossError, CouponRuleError
-from .model import Gamble, OddsTable, Outcome, Rational, as_rational
+from .model import Gamble, OddsTable, Outcome, Rational, as_rational, scaled
 from .sureloss import check_asl_single, upper_pmf_from_odds
 
 
@@ -130,41 +129,26 @@ def scaled_coupon_values(
     building the gamble.  Pairs whose first stake exceeds the coupon cap
     are omitted.
 
-    Why the integers are exact.  Every cap is ``M_k/L`` with ``L`` the
-    lcm of the cap denominators (the caps' cached
-    :attr:`~dutchbook.choquet.UpperPMF.scaled_masses`, which the greedy
-    fill reads too), every rate ``(b_k − a_k)/b_k`` is
-    ``Q_k/B`` and every odds component is an integer over ``D``, the
-    lcm of the components' denominators (1 for quoted odds).  Then
-    ``R·L``, ``take·L = min((1 − R)·L, M_cap)``, ``b_i·D·B``,
-    ``c·D·B`` and ``−a_i·D·B`` are all integers, so every term of the
-    fill times ``scale = L·D·B`` is an integer too, and ``R ≥ 1`` reads
-    ``R·L ≥ L``.  The scale is positive, so ``(V, i, j)`` tuples sort
-    exactly as the ``(value, i, j)`` tuples of the rationals do, ties
-    and their index order included.
+    It runs on :func:`~dutchbook.model.scaled` ints: caps over ``L``, odds
+    components over ``O``, rates ``(b_k − a_k)/b_k`` over ``B``.
     """
     verdict = check_asl_single(table)
     if not verdict.avoids:
         raise BaseOddsSureLossError(verdict.total)
-    odds = table.odds
     cap_scale, masses = upper_pmf_from_odds(table).scaled_masses
-    rates = [(o.denominator - o.numerator) / o.denominator for o in odds]
-    rate_scale = lcm(*(r.denominator for r in rates))
-    odds_scale = lcm(
-        *(q.denominator for o in odds for q in (o.numerator, o.denominator))
+    odds_scale, wins, stakes = table.scaled_odds
+    rate_scale, slopes = scaled(
+        [(o.denominator - o.numerator) / o.denominator for o in table.odds]
     )
-    slopes = [r.numerator * (rate_scale // r.denominator) for r in rates]
     total = sum(masses)
     cap_value = rules.max_coupon_value
     values = []
     capped = []
-    for i, first in enumerate(odds):
-        stake, win = first.denominator, first.numerator
-        if cap_value is not None and stake > cap_value:
+    for i, (first, stake_d, win) in enumerate(zip(table.odds, stakes, wins)):
+        if cap_value is not None and first.denominator > cap_value:
             capped.append(i)
             continue
-        stake_d = stake.numerator * (odds_scale // stake.denominator)
-        loss = -win.numerator * (odds_scale // win.denominator) * rate_scale
+        loss = -win * rate_scale
         kept = stake_d * rate_scale
         whole = kept * cap_scale
         m_i = masses[i]

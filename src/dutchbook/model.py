@@ -12,7 +12,8 @@ import re
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import TYPE_CHECKING, Iterable, Iterator, Union
+from math import lcm
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, Union
 
 if TYPE_CHECKING:
     from .choquet import UpperPMF
@@ -49,6 +50,24 @@ def as_rational(value: RationalLike) -> Rational:
     if type(value) is int and -_SMALL_LIMIT <= value <= _SMALL_LIMIT:
         return _SMALL_RATIONALS[value + _SMALL_LIMIT]
     return Fraction(value)
+
+
+def scaled(values: Sequence[Rational]) -> tuple[int, tuple[int, ...]]:
+    """``(S, V)``: ``S`` the least common denominator of ``values`` and
+    ``V_k = values[k]·S`` as exact ints.
+
+    Every integer computation in the package reads its rationals through
+    this view, and this is why its ints are exact.  ``S`` is positive, so
+    ``V`` keeps the order, the ties and the signs of ``values``.  Sums and
+    products of views are ints over the product of their scales, and
+    values over different scales compare exactly cross-multiplied:
+    ``x/S ≤ y/T`` exactly when ``x·T ≤ y·S``.
+
+    >>> scaled((Fraction(1, 2), Fraction(-2, 3), 1))
+    (6, (3, -4, 6))
+    """
+    scale = lcm(*(v.denominator for v in values))
+    return scale, tuple(v.numerator * (scale // v.denominator) for v in values)
 
 
 def format_rational(value: RationalLike) -> str:
@@ -173,7 +192,11 @@ class FractionalOdds:
         if match is None:
             raise ValueError(f"cannot parse odds {text!r}: expected 'a/b' or 'a'")
         numerator, denominator = match.groups()
-        return cls(int(numerator), int(denominator or 1))
+        try:
+            a, b = int(numerator), int(denominator or 1)
+        except ValueError:  # int() reads at most sys.get_int_max_str_digits()
+            raise ValueError(f"odds number too long: {text[:20]!r}...") from None
+        return cls(a, b)
 
     @property
     def ratio(self) -> Rational:
@@ -211,6 +234,12 @@ class Gamble:
                 f"gamble has {len(self.payoffs)} payoffs for "
                 f"{len(self.space)} outcomes"
             )
+
+    @cached_property
+    def scaled(self) -> tuple[int, tuple[int, ...]]:
+        """``(D, P)``: the payoffs as ints over their least common
+        denominator (:func:`scaled`), computed once per gamble."""
+        return scaled(self.payoffs)
 
     def items(self) -> Iterator[tuple[Outcome, Rational]]:
         return zip(self.space, self.payoffs)
@@ -275,6 +304,13 @@ class OddsTable:
             gamble_from_odds(odds, o, self.space)
             for o, odds in zip(self.space, self.odds)
         )
+
+    @cached_property
+    def scaled_odds(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        """``(O, A, B)``: the odds components ``a_k`` and ``b_k`` as
+        :func:`scaled` ints over ``O`` (1 for quoted odds), once per table."""
+        scale, ab = scaled([q for o in self.odds for q in (o.numerator, o.denominator)])
+        return scale, ab[::2], ab[1::2]
 
     @cached_property
     def upper_pmf(self) -> UpperPMF:

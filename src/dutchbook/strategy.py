@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from math import lcm
 
 from .choquet import DualSolution, construct_dual
 from .coupons import (
@@ -27,7 +26,7 @@ from .coupons import (
     scaled_coupon_values,
 )
 from .errors import BaseOddsSureLossError, CertificateError, StakeSystemError
-from .model import Gamble, OddsTable, Outcome, Rational
+from .model import Gamble, OddsTable, Outcome, Rational, scaled
 from .sureloss import check_asl_single, upper_pmf_from_odds
 
 
@@ -89,19 +88,10 @@ def solve_stakes(
     :class:`~dutchbook.errors.StakeSystemError` is raised.  A gamble or
     dual over another outcome space is a ``ValueError``.
 
-    Why the integers are exact.  ``p`` is over ``P``, the lcm of its
-    denominators, and the payoffs ``F_w/D`` over ``D``, the lcm of
-    theirs, so with ``G = P·D`` both ``α = A/G`` and ``c_w = C_w/G`` are
-    ints over ``G``.  The caps are ``M_w/L``
-    (:attr:`~dutchbook.choquet.UpperPMF.scaled_masses`), so ``M_S − 1 =
-    E/L`` with ``E = Σ_S M_w − L`` and ``Σ_S m_w·c_w = N/(L·G)`` with ``N =
-    Σ_S M_w·C_w``, hence ``B = N/(G·E)`` (``C_last/G`` when ``E = 0``).
-    Since ``1/(a_w+b_w) = M_w/(L·b_w)``, each stake is ``X_w·M_w/(G·E·L·b_w)``
-    with ``X_w = N − C_w·E``: one ``Fraction`` from an int numerator, whose
-    sign is that of ``X_w`` once ``E`` is made positive.  The kept stakes
-    ``Σ s_w·b_w`` are ``Σ X_w·M_w`` over ``G·E·L``, and every row in S
-    pays ``α`` plus that less ``B``, so the maximum is compared with ``α``
-    as ints over that positive scale.
+    On :func:`~dutchbook.model.scaled` ints (``p`` over ``P``, payoffs over
+    ``D``, caps ``M_w/L``, ``G = P·D``): ``α = A/G``, ``c_w = C_w/G``, ``E =
+    Σ_S M_w − L``, ``N = Σ_S M_w·C_w``, ``B = N/(G·E)`` (``C_last/G`` when
+    ``E = 0``), and each stake is ``X_w·M_w/(G·E·L·b_w)``, ``X_w = N − C_w·E``.
     """
     space = table.space
     p = dual.p
@@ -110,14 +100,9 @@ def solve_stakes(
             "gamble, dual and table are over different outcome spaces"
         )
     odds = table.odds
-    p_scale = lcm(*(q.denominator for q in p))
-    payoff_scale = lcm(*(v.denominator for v in gamble.payoffs))
-    payoffs = [
-        v.numerator * (payoff_scale // v.denominator) for v in gamble.payoffs
-    ]
-    objective = sum(
-        q.numerator * (p_scale // q.denominator) * f for q, f in zip(p, payoffs)
-    )
+    p_scale, dual_ints = scaled(p)
+    payoff_scale, payoffs = gamble.scaled
+    objective = sum(q * f for q, f in zip(dual_ints, payoffs))
     scale = p_scale * payoff_scale  # G
     alpha = Fraction(objective, scale)
     support = dual.ordering[: dual.k_prime]
@@ -174,16 +159,9 @@ def certificate_failures(
     equal objectives is a complete optimality proof by weak duality.
     A gamble over another outcome space certifies nothing.
 
-    Why the integers are exact.  ``p`` is read over ``P``, the lcm of its
-    denominators, and checked against the caps ``M_w/L``
-    (:attr:`~dutchbook.choquet.UpperPMF.scaled_masses`) over ``P·L``.
-    Alpha, the stakes and the payoffs are read over ``V``, the lcm of
-    their denominators, and the odds components over ``O``, the lcm of
-    theirs (1 for quoted odds).  A combined payoff
-    ``f_w + Σ s_i·b_i − s_w·(a_w+b_w)`` is then an int over ``V·O``, the
-    objective ``Σ p_w·f_w`` an int over ``P·V``, and every scale is
-    positive, so each comparison reads as in rationals.  A value becomes
-    a ``Fraction`` only in the message of a failed check.
+    It calls :func:`~dutchbook.model.scaled` itself on ``p``, on alpha,
+    the stakes and the payoffs jointly, and on the odds components; it
+    reads nothing from the solve, the sweep or a view but the caps.
     """
     space = table.space
     n = len(space)
@@ -202,8 +180,7 @@ def certificate_failures(
     alpha = report.alpha
     pmf = upper_pmf_from_odds(table)
     cap_scale, caps = pmf.scaled_masses
-    p_scale = lcm(*(q.denominator for q in p))
-    dual = [q.numerator * (p_scale // q.denominator) for q in p]
+    p_scale, dual = scaled(p)
     if sum(dual) != p_scale:
         failures.append(f"dual masses sum to {Fraction(sum(dual), p_scale)}, not 1")
     for outcome, q, d, mass, cap in zip(space, p, dual, pmf.masses, caps):
@@ -211,35 +188,20 @@ def certificate_failures(
             failures.append(
                 f"dual mass for {outcome.label} is {q}, outside [0, {mass}]"
             )
-    value_scale = lcm(
-        alpha.denominator,
-        *(s.denominator for s in stakes),
-        *(v.denominator for v in gamble.payoffs),
+    value_scale, values = scaled((alpha, *stakes, *gamble.payoffs))
+    alpha_v, stake_ints, payoffs = values[0], values[1 : n + 1], values[n + 1 :]
+    odds_scale, components = scaled(
+        [q for o in table.odds for q in (o.numerator, o.denominator)]
     )
-    odds_scale = lcm(
-        *(q.denominator for o in table.odds for q in (o.numerator, o.denominator))
-    )
-    scaled = [s.numerator * (value_scale // s.denominator) for s in stakes]
-    for outcome, stake, s in zip(space, stakes, scaled):
+    lost_odds, kept_odds = components[::2], components[1::2]
+    for outcome, stake, s in zip(space, stakes, stake_ints):
         if s < 0:
             failures.append(f"stake on {outcome.label} is negative: {stake}")
-    kept_odds = [
-        o.denominator.numerator * (odds_scale // o.denominator.denominator)
-        for o in table.odds
-    ]
-    lost_odds = [
-        o.numerator.numerator * (odds_scale // o.numerator.denominator)
-        for o in table.odds
-    ]
-    payoffs = [
-        v.numerator * (value_scale // v.denominator) for v in gamble.payoffs
-    ]
     # stake s_i at odds a_i/b_i keeps b_i unless outcome i comes up, when
     # it pays a_i instead: b_i·1 − (a_i+b_i)·e_i, as in gamble_from_odds
-    kept = sum(s * b for s, b in zip(scaled, kept_odds))
-    alpha_v = alpha.numerator * (value_scale // alpha.denominator)
+    kept = sum(s * b for s, b in zip(stake_ints, kept_odds))
     limit = alpha_v * odds_scale
-    for outcome, f, s, a, b in zip(space, payoffs, scaled, lost_odds, kept_odds):
+    for outcome, f, s, a, b in zip(space, payoffs, stake_ints, lost_odds, kept_odds):
         value = f * odds_scale + kept - s * (a + b)
         if value > limit:
             failures.append(
@@ -298,13 +260,12 @@ def best_strategy(
 ) -> StrategyReport | None:
     """Best certified coupon strategy, or None when no coupon is exploitable.
 
-    Prices every admissible (first, coupon) pair on exact integers
-    (:func:`~dutchbook.coupons.scaled_coupon_values`; the common scale is
-    positive, so the order is that of the rational prices) and keeps the
-    one with the most negative value; ties fall to the lexicographically
+    Prices every admissible (first, coupon) pair as ints over one scale
+    (:func:`~dutchbook.coupons.scaled_coupon_values`) and keeps the one
+    with the most negative value; ties fall to the lexicographically
     first pair.  Only that pair's gamble is built, and its strategy
-    passes :func:`certificate_failures` in rationals like any other.
-    The base odds must avoid sure loss.
+    passes :func:`certificate_failures` like any other.  The base odds
+    must avoid sure loss.
     """
     _, values, _ = scaled_coupon_values(table, rules)
     if not values:

@@ -1,5 +1,6 @@
 import csv
 import json
+import sys
 from io import StringIO
 
 import pytest
@@ -13,6 +14,8 @@ from dutchbook.io import read_fixture
 # values outside the flags' 'a/b'-or-integer grammar: exponents, decimals,
 # a plus sign, digit grouping, another script's digits and no digits at all
 BAD_NUMBERS = ["1/0", "abc", "2/", "1e9", "0.5", "+2", "1_0", "\u0663"]
+BET2_SCAN = ["find-coupon-arbitrage", "euro2016.csv", "--bookmaker", "Bet2"]
+FOREST_PRICING = ["natural-extension", "three_bookmakers.csv", "--bookmaker", "Forest"]
 
 
 def run(capsys, *argv):
@@ -402,6 +405,33 @@ class TestUsage:
         assert out == ""
         assert err.startswith("error: ")
         assert str(target) in err
+
+    @pytest.mark.parametrize(
+        "where, argv",
+        [
+            ("line 2", ["check-asl", "{path}"]),
+            ("line 3", ["convert-odds", "{wide}"]),
+            ("--max-coupon", [*BET2_SCAN, "--max-coupon", "1/{digits}"]),
+            ("--gamble", [*FOREST_PRICING, "--gamble", "0,-{digits},1/2"]),
+        ],
+    )
+    def test_a_number_too_long_for_int_is_named_not_echoed(
+        self, capsys, tmp_path, where, argv
+    ):
+        limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+        if not limit:
+            pytest.skip("int() reads any number of digits here")
+        digits = "7" * (limit + 1)
+        path, wide = tmp_path / "long.csv", tmp_path / "wide.csv"
+        path.write_text(f"outcome,bookmaker,odds\nA,B,{digits}/2\nC,B,1\n")
+        wide.write_text(f"outcome,B\nA,1\nC,{digits}\n")
+        argv = [a.format(path=path, wide=wide, digits=digits) for a in argv]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith(f"error: {where}")
+        assert "too long" in err
+        assert "sys." not in err
+        assert len(err) < 150
 
 
 ODD_LABELS = ['"', "#x", " ", ""]

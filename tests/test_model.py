@@ -1,6 +1,10 @@
+import dataclasses
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from dutchbook import (
     FractionalOdds,
@@ -12,7 +16,9 @@ from dutchbook import (
     format_decimal,
     format_rational,
 )
-from dutchbook.model import as_rational, gamble_from_odds
+from dutchbook.model import as_rational, gamble_from_odds, scaled
+
+RATIONALS = st.fractions(max_denominator=10**6) | st.integers(-(10**30), 10**30)
 
 
 class TestRationalHelpers:
@@ -49,6 +55,74 @@ class TestRationalHelpers:
         assert format_decimal(Fraction(1, 20000), 4) == "0.0000"
         assert format_decimal(Fraction(3, 20000), 4) == "0.0002"
         assert format_decimal(Fraction(-1, 20000), 4) == "0.0000"
+
+
+class TestScaled:
+    @given(st.lists(RATIONALS, max_size=12))
+    def test_ints_over_the_least_common_denominator(self, values):
+        scale, ints = scaled(values)
+        assert len(ints) == len(values)
+        assert all(type(v) is int for v in ints)
+        assert all(Fraction(v, scale) == q for v, q in zip(ints, values))
+        # the least common denominator: every value's denominator divides
+        # the scale, and no smaller positive scale keeps every value whole
+        assert scale >= 1
+        assert all(scale % Fraction(q).denominator == 0 for q in values)
+        assert gcd(scale, *ints) == 1
+
+    @given(st.lists(RATIONALS, min_size=1, max_size=12))
+    def test_order_ties_and_sign_are_kept(self, values):
+        _, ints = scaled(values)
+        for v, q in zip(ints, values):
+            assert (v > 0) == (q > 0) and (v < 0) == (q < 0)
+            for w, r in zip(ints, values):
+                assert (v < w) == (q < r) and (v == w) == (q == r)
+        by_ints = sorted(range(len(ints)), key=ints.__getitem__)
+        assert by_ints == sorted(range(len(values)), key=values.__getitem__)
+
+    def test_empty_and_whole_values(self):
+        assert scaled(()) == (1, ())
+        assert scaled((Fraction(3), -2)) == (1, (3, -2))
+
+
+def _observable(obj):
+    return obj, hash(obj), repr(obj), str(obj)
+
+
+class TestCachedIntegerViews:
+    def test_gamble_scaled_changes_nothing_else(self, forest):
+        gamble = Gamble(forest.space, (Fraction(1, 2), -13, Fraction(5, 3)))
+        twin = Gamble(forest.space, (Fraction(1, 2), -13, Fraction(5, 3)))
+        before = _observable(gamble)
+        assert gamble.scaled == (6, (3, -78, 10))
+        assert gamble.scaled is gamble.scaled  # computed once
+        assert _observable(gamble) == before
+        assert gamble == twin and hash(gamble) == hash(twin)
+        assert repr(gamble) == repr(twin)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gamble.scaled = (1, (0, 0, 0))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            gamble.payoffs = ()
+
+    def test_odds_table_scaled_odds_changes_nothing_else(self):
+        space = OutcomeSpace.from_labels(["W", "D", "L"])
+        odds = (
+            FractionalOdds.parse("13/5"),
+            FractionalOdds(Fraction(15, 4), 5),
+            FractionalOdds.parse("2"),
+        )
+        table = OddsTable("Book", space, odds)
+        twin = OddsTable("Book", space, odds)
+        before = _observable(table)
+        assert table.scaled_odds == (4, (52, 15, 8), (20, 20, 4))
+        assert table.scaled_odds is table.scaled_odds
+        assert _observable(table) == before
+        assert table == twin and hash(table) == hash(twin)
+        assert repr(table) == repr(twin)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.scaled_odds = (1, (), ())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.odds = ()
 
 
 class TestOutcomeSpace:

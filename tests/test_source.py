@@ -69,3 +69,27 @@ def test_all_covers_every_name_the_demos_readme_and_benchmark_import():
     used = set().union(*map(_names_imported_from_dutchbook, sources))
     assert "load_fixture_market" in used  # the sources were found and read
     assert used - set(dutchbook.__all__) == set()
+
+
+def _function(module_path: Path, name: str) -> ast.FunctionDef:
+    tree = ast.parse(module_path.read_text(encoding="utf-8"))
+    (found,) = [
+        node
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name == name
+    ]
+    return found
+
+
+def test_the_certificate_reads_no_cached_integer_view():
+    # certificate_failures scales the report's own rationals itself; reading
+    # Gamble.scaled or OddsTable.scaled_odds would share arithmetic with the
+    # stake solve and the sweep, which read those views
+    check = _function(PACKAGE / "strategy.py", "certificate_failures")
+    read = [
+        f"line {node.lineno}: .{node.attr}"
+        for node in ast.walk(check)
+        if isinstance(node, ast.Attribute)
+        and node.attr in {"scaled", "scaled_odds"}
+    ]
+    assert read == []
